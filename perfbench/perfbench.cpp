@@ -1,6 +1,6 @@
 // perfbench — the end-to-end benchmark of the write and serve paths.
 //
-//   perfbench --workload <snapshot-roundtrip|viewer-walk|explore-cold>
+//   perfbench --workload <snapshot-roundtrip|explore-cold>
 //             --seed <n> --seconds <s> --trace <0|1>
 //             [--extent <edge>] [--git <describe>] [--trace-out <path>]
 //
@@ -93,11 +93,10 @@ Args parse_args(int argc, char** argv) {
     else if (k == "--trace-out") a.trace_out = v;
     else throw std::invalid_argument("unknown argument " + k);
   }
-  if (a.workload != "snapshot-roundtrip" && a.workload != "viewer-walk" &&
-      a.workload != "explore-cold")
+  if (a.workload != "snapshot-roundtrip" && a.workload != "explore-cold")
     throw std::invalid_argument("unknown workload '" + a.workload + "'");
   if (a.seconds <= 0.0) throw std::invalid_argument("--seconds must be positive");
-  // Extents must split into 16-cell ROI blocks and 4 viewport steps.
+  // Extents must split into 16-cell ROI blocks and hold a 64-cell window.
   if (a.extent < 64 || a.extent % 16 != 0)
     throw std::invalid_argument("--extent must be a multiple of 16, >= 64");
   return a;
@@ -210,8 +209,16 @@ bool identical(const FieldF& a, const FieldF& b) {
          std::memcmp(a.data(), b.data(), static_cast<std::size_t>(a.size()) * sizeof(float)) == 0;
 }
 
-FieldF window(const FieldF& full, const tiled::Box& box) {
-  return extract_region(full, box.lo, box.extent());
+/// `got` equals the `box` window of `full`, compared row by row in place.
+bool equals_window(const FieldF& full, const tiled::Box& box, const FieldF& got) {
+  const Dim3 e = box.extent();
+  if (got.dims() != e) return false;
+  const auto row = static_cast<std::size_t>(e.nx) * sizeof(float);
+  for (index_t z = 0; z < e.nz; ++z)
+    for (index_t y = 0; y < e.ny; ++y)
+      if (std::memcmp(&got.at(0, y, z), &full.at(box.lo.x, box.lo.y + y, box.lo.z + z), row) != 0)
+        return false;
+  return true;
 }
 
 // ---------------------------------------------------------------- layers --
@@ -265,9 +272,8 @@ struct Counters {
 
 /// The operation types a workload runs; each gets its own wall, unattributed
 /// and obs-overhead rows in the traced run.
-const char* const kOpTypes[] = {"write_tiled",  "write_progressive", "write_workflow",
-                                "read_all",     "region_mrct",       "region_mrca",
-                                "progressive_mrcr"};
+const char* const kOpTypes[] = {"write_tiled", "write_progressive", "write_workflow",
+                                "read_all",    "region_mrct",       "progressive_mrcr"};
 
 /// Per-layer accumulators of one traced pass. Layer seconds are summed over
 /// every traced operation; the report divides by the operation count.
@@ -350,11 +356,11 @@ MultiResField workflow_reference(const FieldF& f, const api::Options& o) {
 }
 
 /// Set-ups per run (setup_s is their median): snapshot-roundtrip makes its
-/// two fields, the read workloads write and open their streams. The read
-/// workloads' write metrics come from their set-ups, hence the larger count.
+/// two fields, explore-cold writes and opens its streams. explore-cold's
+/// write metrics come from its set-ups, hence the larger count.
 constexpr int kSnapshotSetups = 3;
 constexpr int kServingSetups = 5;
-/// Closed-loop wire clients of the read workloads.
+/// Closed-loop wire clients of explore-cold.
 constexpr int kClients = 2;
 
 // ============================================================ snapshot ===
@@ -544,26 +550,24 @@ void run_snapshot(const Args& a, Report& rep) {
 
 // ============================================================== serving ===
 
-enum OpKind : int { kRegionMrct = 0, kRegionMrca = 1, kProgressiveMrcr = 2 };
-const char* op_name(int k) {
-  return k == kRegionMrct ? "region_mrct" : k == kRegionMrca ? "region_mrca" : "progressive_mrcr";
-}
+enum OpKind : int { kRegionMrct = 0, kProgressiveMrcr = 1, kNumKinds = 2 };
+const char* op_name(int k) { return k == kRegionMrct ? "region_mrct" : "progressive_mrcr"; }
 
 struct Op {
   int kind = kRegionMrct;
   tiled::Box box;
 };
 
-/// The streams a read workload serves, written in set-up, plus full-field
+/// The streams explore-cold serves, written in set-up, plus full-field
 /// decodes that every served read is compared against.
 struct Served {
   Dim3 dims;
-  Bytes mrct, mrca, mrcr;          ///< stream copies kept for checks and replays
+  Bytes mrct, mrcr;                ///< stream copies kept for checks and replays
   Bytes snapshot;                  ///< the workflow snapshot (written, not served)
-  FieldF ref_t, ref_a, ref_r;      ///< full decodes (references)
+  FieldF ref_t, ref_r;             ///< full decodes (references)
   std::size_t working_set = 0;     ///< decoded bytes of every brick served
   std::unique_ptr<serve::Server> srv;
-  std::uint32_t id_t = 0, id_a = 0, id_r = 0;
+  std::uint32_t id_t = 0, id_r = 0;
   tiled::Index idx_t;
   progressive::Index idx_r;
   std::vector<tiled::Index> idx_r_levels;  ///< nested tiled index per MRCR level
@@ -576,10 +580,21 @@ std::size_t decoded_bytes(const tiled::Index& idx) {
   return b;
 }
 
-/// The read workloads' set-up (timed): write the field three ways plus the
-/// MRCA stream (the in-situ output that precedes any viewing), read the
-/// tiled stream back, and open the served streams behind one Server.
-Served setup_serving(const FieldF& f, bool viewer, WriteSample& w) {
+/// (Re)opens the served streams behind a fresh Server with an empty cache.
+void open_server(Served& sv) {
+  sv.srv.reset();
+  serve::ServerConfig sc;
+  sc.threads = 3;  // 3 lanes (2 workers) + 2 client threads fit 4 hardware threads
+  sc.cache_bytes = sv.working_set / 8;
+  sv.srv = std::make_unique<serve::Server>(sc);
+  sv.id_t = sv.srv->open(sv.mrct, "mrct");
+  sv.id_r = sv.srv->open(sv.mrcr, "mrcr");
+}
+
+/// explore-cold's set-up (timed): write the field three ways (the in-situ
+/// output that precedes any viewing), read the tiled stream back, and open
+/// the served streams behind one Server.
+Served setup_serving(const FieldF& f, WriteSample& w) {
   const api::Options o = write_options();
   Served sv;
   sv.dims = f.dims();
@@ -589,7 +604,6 @@ Served setup_serving(const FieldF& f, bool viewer, WriteSample& w) {
   sv.mrcr = std::move(s.progressive);
   sv.snapshot = std::move(s.workflow);
   sv.ref_t = std::move(s.back);
-  if (viewer) sv.mrca = api::compress_adaptive_roi(f, o);
 
   sv.idx_t = tiled::read_index(sv.mrct);
   sv.idx_r = progressive::read_index(sv.mrcr);
@@ -598,37 +612,21 @@ Served setup_serving(const FieldF& f, bool viewer, WriteSample& w) {
     sv.idx_r_levels.push_back(tiled::read_index(sv.idx_r.level_stream(sv.mrcr, l)));
     sv.working_set += decoded_bytes(sv.idx_r_levels.back());
   }
-  if (viewer) sv.working_set += decoded_bytes(sv.idx_t);  // MRCA: the same brick grid
-
-  serve::ServerConfig sc;
-  sc.threads = 3;  // 3 lanes (2 workers) + 2 client threads fit 4 hardware threads
-  // viewer-walk: budget above the working set (warm); explore-cold: 1/8 of it.
-  sc.cache_bytes = viewer ? 2 * sv.working_set : sv.working_set / 8;
-  sv.srv = std::make_unique<serve::Server>(sc);
-  sv.id_t = sv.srv->open(sv.mrct, "mrct");
-  sv.id_r = sv.srv->open(sv.mrcr, "mrcr");
-  if (viewer) sv.id_a = sv.srv->open(sv.mrca, "mrca");
+  open_server(sv);
   return sv;
 }
 
 /// Checks every stream of a set-up (untimed) and decodes the references the
 /// served reads are compared against.
-void check_served(const Args& a, const FieldF& f, Served& sv, bool viewer) {
+void check_served(const Args& a, const FieldF& f, Served& sv) {
   const api::Options o = write_options();
   const double eb = o.absolute_eb(f);
   check_within(f, sv.ref_t, eb, "tiled stream (api::decompress)");
   check_workflow(f, sv.snapshot, o, workflow_reference(f, o));
   sv.ref_r = api::decompress(sv.mrcr);
   check_within(f, sv.ref_r, eb, "progressive stream (api::decompress)");
-  std::size_t stored = sv.mrct.size() + sv.mrcr.size() + sv.snapshot.size();
-  int streams = 3;
-  if (viewer) {
-    sv.ref_a = api::decompress(sv.mrca);
-    stored += sv.mrca.size();
-    ++streams;
-  }
-  sv.bits_per_value = 8.0 * static_cast<double>(stored) /
-                      (static_cast<double>(streams) * static_cast<double>(f.size()));
+  const std::size_t stored = sv.mrct.size() + sv.mrcr.size() + sv.snapshot.size();
+  sv.bits_per_value = 8.0 * static_cast<double>(stored) / (3.0 * static_cast<double>(f.size()));
 
   // The containers' own region reads equal the windows of their full
   // decodes, so served reads are checked against those windows.
@@ -640,79 +638,42 @@ void check_served(const Args& a, const FieldF& f, Served& sv, bool viewer) {
                     static_cast<index_t>(rng.uniform_index(span)),
                     static_cast<index_t>(rng.uniform_index(span))};
     const tiled::Box box{lo, {lo.x + win, lo.y + win, lo.z + win}};
-    check(identical(api::read_region(sv.mrct, box), window(sv.ref_t, box)),
+    check(equals_window(sv.ref_t, box, api::read_region(sv.mrct, box)),
           "tiled::read_region differs from the full decode window");
-    check(identical(progressive::read_region(sv.mrcr, 0, box), window(sv.ref_r, box)),
+    check(equals_window(sv.ref_r, box, progressive::read_region(sv.mrcr, 0, box)),
           "progressive::read_region differs from the full decode window");
-    if (viewer)
-      check(identical(adaptive::read_region(sv.mrca, box).data, window(sv.ref_a, box)),
-            "adaptive::read_region differs from the full decode window");
   }
 }
 
 /// A repeated set-up must write the same bytes as the checked one.
 void check_same_streams(const Served& checked, const Served& again) {
   check(checked.mrct == again.mrct && checked.mrcr == again.mrcr &&
-            checked.mrca == again.mrca && checked.snapshot == again.snapshot,
+            checked.snapshot == again.snapshot,
         "a repeated set-up wrote different stream bytes");
 }
 
-/// Seeded request stream of one client.
+/// Seeded request stream of one client: uniform random windows, alternating
+/// MRCT region reads and MRCR progressive reads.
 class OpStream {
  public:
-  OpStream(bool viewer, index_t extent, std::uint64_t seed)
-      : viewer_(viewer), extent_(extent), win_(std::min<index_t>(64, extent / 4)), rng_(seed) {
-    if (viewer_) {
-      // Serpentine walk over the half-window lattice: consecutive viewports
-      // always overlap by half a window.
-      const index_t step = win_ / 2;
-      const index_t n = (extent_ - win_) / step + 1;
-      for (index_t z = 0; z < n; ++z)
-        for (index_t yy = 0; yy < n; ++yy) {
-          const index_t y = z % 2 == 0 ? yy : n - 1 - yy;
-          for (index_t xx = 0; xx < n; ++xx) {
-            const index_t x = (z * n + yy) % 2 == 0 ? xx : n - 1 - xx;
-            path_.push_back({x * step, y * step, z * step});
-          }
-        }
-      pos_ = static_cast<std::ptrdiff_t>(rng_.uniform_index(path_.size()));
-      dir_ = rng_.uniform_index(2) == 0 ? 1 : -1;
-    }
-  }
+  OpStream(index_t extent, std::uint64_t seed)
+      : extent_(extent), win_(std::min<index_t>(64, extent / 4)), rng_(seed) {}
 
-  /// viewer-walk: each viewport is requested as an MRCT region, an MRCA
-  /// region and an MRCR progressive read, then the walk pans one step.
-  /// explore-cold: uniform random windows, alternating MRCT region reads
-  /// and MRCR progressive reads.
   Op next() {
     Op op;
-    if (viewer_) {
-      op.kind = static_cast<int>(k_ % 3);
-      const Coord3 lo = path_[static_cast<std::size_t>(pos_)];
-      op.box = {lo, {lo.x + win_, lo.y + win_, lo.z + win_}};
-      if (op.kind == 2) {
-        const auto n = static_cast<std::ptrdiff_t>(path_.size());
-        if (pos_ + dir_ < 0 || pos_ + dir_ >= n) dir_ = -dir_;
-        pos_ += dir_;
-      }
-    } else {
-      op.kind = k_ % 2 == 0 ? kRegionMrct : kProgressiveMrcr;
-      const auto span = static_cast<std::uint64_t>(extent_ - win_ + 1);
-      const Coord3 lo{static_cast<index_t>(rng_.uniform_index(span)),
-                      static_cast<index_t>(rng_.uniform_index(span)),
-                      static_cast<index_t>(rng_.uniform_index(span))};
-      op.box = {lo, {lo.x + win_, lo.y + win_, lo.z + win_}};
-    }
+    op.kind = k_ % 2 == 0 ? kRegionMrct : kProgressiveMrcr;
+    const auto span = static_cast<std::uint64_t>(extent_ - win_ + 1);
+    const Coord3 lo{static_cast<index_t>(rng_.uniform_index(span)),
+                    static_cast<index_t>(rng_.uniform_index(span)),
+                    static_cast<index_t>(rng_.uniform_index(span))};
+    op.box = {lo, {lo.x + win_, lo.y + win_, lo.z + win_}};
     ++k_;
     return op;
   }
 
  private:
-  bool viewer_;
   index_t extent_, win_;
   Rng rng_;
-  std::vector<Coord3> path_;
-  std::ptrdiff_t pos_ = 0, dir_ = 1;
   std::uint64_t k_ = 0;
 };
 
@@ -749,15 +710,13 @@ OpResult issue(WireClient& wc, const Served& sv, const Op& op) {
         r.failed = true;
         return r;
       }
-      check(pr.box == op.box && identical(pr.data, window(sv.ref_r, op.box)),
+      check(pr.box == op.box && equals_window(sv.ref_r, op.box, pr.data),
             "progressive read differs from the plain region read");
     } else {
-      const bool mrct = op.kind == kRegionMrct;
-      const FieldF got = wc.client.region(mrct ? sv.id_t : sv.id_a, 0, op.box);
+      const FieldF got = wc.client.region(sv.id_t, 0, op.box);
       r.seconds = seconds_since(t0);
-      check(identical(got, window(mrct ? sv.ref_t : sv.ref_a, op.box)),
-            std::string("served ") + op_name(op.kind) +
-                " read differs from the container's read_region");
+      check(equals_window(sv.ref_t, op.box, got),
+            "served region_mrct read differs from the container's read_region");
     }
   } catch (const CheckFailure&) {
     throw;
@@ -769,20 +728,12 @@ OpResult issue(WireClient& wc, const Served& sv, const Op& op) {
   return r;
 }
 
-/// Warms the server before timing: viewer-walk reads every served dataset
-/// whole (the working set fits), explore-cold runs a short untimed prefix
-/// of random reads so the small cache reaches steady state.
-void warm(const Args& a, Served& sv, bool viewer) {
-  if (viewer) {
-    const tiled::Box all = tiled::full_box(sv.dims);
-    (void)sv.srv->read_region(sv.id_t, 0, all);
-    (void)sv.srv->read_region(sv.id_a, 0, all);
-    (void)sv.srv->read_region(sv.id_r, 0, all);
-  } else {
-    WireClient wc(*sv.srv);
-    OpStream ops(false, a.extent, a.seed * 31 + 17);
-    for (int i = 0; i < 40; ++i) (void)issue(wc, sv, ops.next());
-  }
+/// Runs a short untimed prefix of random reads so the small cache reaches
+/// steady state before timing.
+void warm(const Args& a, Served& sv) {
+  WireClient wc(*sv.srv);
+  OpStream ops(a.extent, a.seed * 31 + 17);
+  for (int i = 0; i < 40; ++i) (void)issue(wc, sv, ops.next());
   sv.srv->wait_idle();
 }
 
@@ -818,7 +769,7 @@ void add_latency(Report& rep, const std::string& kind,
   rep.add(kind + "_p99_us", median(p99s), "us", note);
 }
 
-void run_serving(const Args& a, Report& rep, bool viewer) {
+void run_serving(const Args& a, Report& rep) {
   const FieldF f = nyx_field({a.extent, a.extent, a.extent}, a.seed);
   std::vector<WriteSample> writes;
   std::vector<double> setups;
@@ -826,37 +777,41 @@ void run_serving(const Args& a, Report& rep, bool viewer) {
   for (int i = 0; i < kServingSetups; ++i) {
     WriteSample w;
     const auto t0 = Clock::now();
-    Served again = setup_serving(f, viewer, w);
+    Served again = setup_serving(f, w);
     setups.push_back(seconds_since(t0));
     writes.push_back(w);
     if (i == 0) {
       sv = std::move(again);
-      check_served(a, f, sv, viewer);
+      check_served(a, f, sv);
     } else {
       check_same_streams(sv, again);
     }
   }
-  warm(a, sv, viewer);
+  warm(a, sv);
 
-  // Samples are (completion time since the loop started, latency us).
+  // Samples are (completion time since the loop started, latency us). Each
+  // client also sums the time it spent inside operations, so the per-read
+  // check (outside the timed window) does not count towards reads_per_s.
   using Sample = std::pair<double, double>;
   std::atomic<std::uint64_t> attempted{0}, failed{0};
   std::vector<std::string> errors(kClients);
+  std::vector<double> busy(kClients, 0.0);
   std::vector<std::thread> threads;
-  std::vector<std::vector<Sample>> client_lat(kClients * 3);
+  std::vector<std::vector<Sample>> client_lat(kClients * kNumKinds);
   const auto t_start = Clock::now();
   const auto deadline = t_start + std::chrono::duration<double>(a.seconds);
   for (int c = 0; c < kClients; ++c)
     threads.emplace_back([&, c] {
       try {
         WireClient wc(*sv.srv);
-        OpStream ops(viewer, a.extent, a.seed * 1000003ull + static_cast<std::uint64_t>(c));
+        OpStream ops(a.extent, a.seed * 1000003ull + static_cast<std::uint64_t>(c));
         while (Clock::now() < deadline) {
           const Op op = ops.next();
           const OpResult r = issue(wc, sv, op);
           attempted.fetch_add(1, std::memory_order_relaxed);
           if (r.failed) failed.fetch_add(1, std::memory_order_relaxed);
-          client_lat[static_cast<std::size_t>(c * 3 + op.kind)].emplace_back(
+          busy[static_cast<std::size_t>(c)] += r.seconds;
+          client_lat[static_cast<std::size_t>(c * kNumKinds + op.kind)].emplace_back(
               seconds_since(t_start),
               r.failed ? std::numeric_limits<double>::infinity() : r.seconds * 1e6);
         }
@@ -865,29 +820,31 @@ void run_serving(const Args& a, Report& rep, bool viewer) {
       }
     });
   for (auto& t : threads) t.join();
-  const double wall = seconds_since(t_start);
   for (const auto& e : errors)
     if (!e.empty()) throw CheckFailure(e);
-  std::vector<Sample> region, prog;
+  std::vector<Sample> lat[kNumKinds];
   for (int c = 0; c < kClients; ++c)
-    for (int k = 0; k < 3; ++k) {
-      const auto& src = client_lat[static_cast<std::size_t>(c * 3 + k)];
-      auto& dst = k == kProgressiveMrcr ? prog : region;
-      dst.insert(dst.end(), src.begin(), src.end());
+    for (int k = 0; k < kNumKinds; ++k) {
+      const auto& src = client_lat[static_cast<std::size_t>(c * kNumKinds + k)];
+      lat[k].insert(lat[k].end(), src.begin(), src.end());
     }
   rep.attempted += attempted.load();
   rep.failed += failed.load();
   const std::uint64_t completed = attempted.load() - failed.load();
+  double busy_sum = 0.0;
+  for (const double b : busy) busy_sum += b;
+  const double busy_mean = busy_sum / kClients;
   const serve::ServerStats st = sv.srv->stats();
 
   rep.add("setup_s", median(setups), "s", "median of " + std::to_string(kServingSetups) + " set-ups");
   report_writes(rep, writes, "median of " + std::to_string(writes.size()) + " set-ups (Nyx)");
-  add_latency(rep, "read", region, a.seconds, "region reads");
-  add_latency(rep, "progressive", prog, a.seconds, "progressive reads");
-  char note[160];
-  std::snprintf(note, sizeof(note), "%d closed-loop clients; cache hit ratio %.3f, %llu shed",
-                kClients, st.cache.hit_ratio(), static_cast<unsigned long long>(st.rejected));
-  rep.add("reads_per_s", static_cast<double>(completed) / wall, "1/s", note);
+  add_latency(rep, "read", lat[kRegionMrct], a.seconds, "region reads");
+  add_latency(rep, "progressive", lat[kProgressiveMrcr], a.seconds, "progressive reads");
+  char note[200];
+  std::snprintf(note, sizeof(note),
+                "%d closed-loop clients; per mean client busy %.3f s; cache hit ratio %.3f, %llu shed",
+                kClients, busy_mean, st.cache.hit_ratio(), static_cast<unsigned long long>(st.rejected));
+  rep.add("reads_per_s", static_cast<double>(completed) / busy_mean, "1/s", note);
 }
 
 // ============================================================ traced run ===
@@ -1005,22 +962,24 @@ void trace_snapshot(const Args& a, LayerTotals& L, Report& rep) {
           "bits", "stored bits per input value, traced writes");
 }
 
-/// viewer-walk / explore-cold, traced: one client replays the seeded
-/// request stream untraced, then traced; after each traced request the
-/// benchmark replays decode_tile on the request's bricks, tiled::read_region
-/// on its box, and progressive::refine over its support chain.
-void trace_serving(const Args& a, LayerTotals& L, Report& rep, bool viewer) {
+/// explore-cold, traced: one client issues the seeded request stream
+/// untraced, then the same stream traced, each pass on a freshly opened and
+/// identically warmed server. After each traced request the benchmark replays
+/// decode_tile on the request's bricks, tiled::read_region on its box, and
+/// progressive::refine over its support chain.
+void trace_serving(const Args& a, LayerTotals& L, Report& rep) {
   const FieldF f = nyx_field({a.extent, a.extent, a.extent}, a.seed);
   WriteSample w;
-  Served sv = setup_serving(f, viewer, w);
-  check_served(a, f, sv, viewer);
-  warm(a, sv, viewer);
+  Served sv = setup_serving(f, w);
+  check_served(a, f, sv);
   const CodecRegistry& reg = registry();
   const auto codec_t = reg.make_for_magic(sv.idx_t.codec_magic);
 
-  WireClient wc(*sv.srv);
-  OpStream ops(viewer, a.extent, a.seed * 1000003ull);
   auto pass = [&](bool traced, double budget) {
+    open_server(sv);
+    warm(a, sv);
+    WireClient wc(*sv.srv);
+    OpStream ops(a.extent, a.seed * 1000003ull);
     const auto t0 = Clock::now();
     std::uint64_t trace_id = 1;
     while (seconds_since(t0) < budget) {
@@ -1107,7 +1066,7 @@ void trace_serving(const Args& a, LayerTotals& L, Report& rep, bool viewer) {
             acc = progressive::refine(acc, chain[l + 1], sv.idx_r.levels[l + 1].dims, layer[l],
                                       chain[l], sv.idx_r.levels[l].dims);
           refine_s = span.seconds();
-          check(identical(acc, window(sv.ref_r, op.box)), "refine replay differs from the read");
+          check(equals_window(sv.ref_r, op.box, acc), "refine replay differs from the read");
         }
         L.refine += refine_s;
         ++L.progressive_reads;
@@ -1118,12 +1077,12 @@ void trace_serving(const Args& a, LayerTotals& L, Report& rep, bool viewer) {
       L.serve_wire += wire;
       L.unattributed[name] += unattributed;
     }
+    sv.srv->wait_idle();
   };
   pass(false, a.seconds / 2);
   obs::set_enabled(true);
   pass(true, a.seconds / 2);
   obs::set_enabled(false);
-  sv.srv->wait_idle();
   rep.add("compressors.bits_per_value", sv.bits_per_value, "bits",
           "stored bits per input value of the streams written in set-up");
 }
@@ -1172,16 +1131,20 @@ void report_layers(const LayerTotals& L, Report& rep) {
     const auto tw = L.traced_wall.find(op);
     const auto uw = L.untraced_wall.find(op);
     const std::size_t n = tw == L.traced_wall.end() ? 0 : tw->second.size();
-    const double traced = n == 0 ? 0.0 : median(tw->second);
-    const double untraced = uw == L.untraced_wall.end() ? 0.0 : median(uw->second);
     const auto un = L.unattributed.find(op);
     const std::string name = op;
     rep.add(name + ".ops", static_cast<double>(n), "count", "traced ops of this type");
-    rep.add(name + ".wall_s", traced, "s", "median traced wall");
+    rep.add(name + ".wall_s", n == 0 ? 0.0 : median(tw->second), "s", "median traced wall");
     rep.add(name + ".unattributed_s", n == 0 ? 0.0 : un->second / static_cast<double>(n), "s",
             "op wall minus its layers, mean");
-    rep.add(name + ".obs.overhead_s", n == 0 ? 0.0 : traced - untraced, "s",
-            "median traced minus median untraced wall");
+    // Both passes issue the same seeded sequence, so their first m operations
+    // of this type are the same operations.
+    const std::size_t m = uw == L.untraced_wall.end() ? 0 : std::min(n, uw->second.size());
+    auto head = [m](const std::vector<double>& v) {
+      return median(std::vector<double>(v.begin(), v.begin() + static_cast<std::ptrdiff_t>(m)));
+    };
+    rep.add(name + ".obs.overhead_s", m == 0 ? 0.0 : head(tw->second) - head(uw->second), "s",
+            "median traced minus median untraced wall, same " + std::to_string(m) + " ops");
   }
 }
 
@@ -1196,7 +1159,6 @@ int main(int argc, char** argv) {
     return 2;
   }
   const bool snapshot = a.workload == "snapshot-roundtrip";
-  const bool viewer = a.workload == "viewer-walk";
   const int lanes = snapshot ? exec::hardware_threads() : kClients + 2;
 
   Report rep;
@@ -1205,14 +1167,14 @@ int main(int argc, char** argv) {
       if (snapshot) {
         run_snapshot(a, rep);
       } else {
-        run_serving(a, rep, viewer);
+        run_serving(a, rep);
       }
     } else {
       LayerTotals L;
       if (snapshot)
         trace_snapshot(a, L, rep);
       else
-        trace_serving(a, L, rep, viewer);
+        trace_serving(a, L, rep);
       report_layers(L, rep);
       obs::write_trace_json(a.trace_out);
       const obs::TraceStats ts = obs::trace_stats();

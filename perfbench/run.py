@@ -153,17 +153,13 @@ def print_self_times(path):
         print("  %-32s %8d %14.3f %14.3f" % (name, count, total / 1e3, self_us / 1e3))
 
 
-# Runnable but not in BENCHMARK.json (see NOTES.md); the smoke still covers it.
-EXTRA_WORKLOADS = ["viewer-walk"]
-
-
 def self_check():
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         spec = json.load(fh)
     want = {0: {m["name"]: m["unit"] for m in spec["end_to_end"]},
             1: {m["name"]: m["unit"] for m in spec["per_layer"]}}
     problems = []
-    for workload in [w["name"] for w in spec["workloads"]] + EXTRA_WORKLOADS:
+    for workload in [w["name"] for w in spec["workloads"]]:
         for trace in (0, 1):
             _, result, trace_path = run_binary(workload, 7, 1, trace, extent=64)
             tag = "%s --trace %d" % (workload, trace)
