@@ -185,9 +185,13 @@ double effective_parallelism(int lanes) {
 // ---------------------------------------------------------------- checks --
 
 /// |got - ref| <= bound, with 4 float ulps of slack for the final float
-/// rounding of the reconstruction.
+/// rounding of the reconstruction. That rounding happens at the magnitude of
+/// the reconstructed value, which next to a spike can be far above the
+/// reference's (a reconstruction exactly at the bound in double can round
+/// past it in float), so the ulps are of the larger of the two.
 bool within(float ref, float got, double bound) {
-  const double slack = 4.0 * std::abs(static_cast<double>(ref)) * std::numeric_limits<float>::epsilon();
+  const double mag = std::max(std::abs(static_cast<double>(ref)), std::abs(static_cast<double>(got)));
+  const double slack = 4.0 * mag * std::numeric_limits<float>::epsilon();
   return std::abs(static_cast<double>(ref) - static_cast<double>(got)) <= bound + slack;
 }
 
@@ -356,12 +360,47 @@ MultiResField workflow_reference(const FieldF& f, const api::Options& o) {
 }
 
 /// Set-ups per run (setup_s is their median): snapshot-roundtrip makes its
-/// two fields, explore-cold writes and opens its streams. explore-cold's
-/// write metrics come from its set-ups, hence the larger count.
+/// two fields, explore-cold writes and opens its streams.
 constexpr int kSnapshotSetups = 3;
-constexpr int kServingSetups = 5;
+constexpr int kServingSetups = 3;
+/// Share of explore-cold's --seconds spent on further write steps (its write
+/// metrics pool them with the set-ups' writes); the rest serves reads, in
+/// blocks between the write steps.
+constexpr double kServingWriteShare = 0.4;
 /// Closed-loop wire clients of explore-cold.
 constexpr int kClients = 2;
+
+/// Tail windows per timed loop. A burst of interference from outside the
+/// process (this benchmark shares its host) lands in one window and moves
+/// that window's p99 only.
+constexpr int kTailWindows = 5;
+
+/// `<kind>_p50_us` over every sample and `<kind>_p99_us` as the median of the
+/// p99s of kTailWindows equal time windows; the whole-run p99 goes in the
+/// note. Samples are (completion time, latency us).
+void add_latency(Report& rep, const std::string& kind,
+                 const std::vector<std::pair<double, double>>& samples, double seconds,
+                 const std::string& what) {
+  std::vector<double> all;
+  std::vector<std::vector<double>> win(kTailWindows);
+  for (const auto& [t, us] : samples) {
+    all.push_back(us);
+    const int w = std::min(kTailWindows - 1, static_cast<int>(t / seconds * kTailWindows));
+    win[static_cast<std::size_t>(w)].push_back(us);
+  }
+  std::vector<double> p99s;
+  std::size_t fewest = all.size();
+  for (const auto& w : win) {
+    p99s.push_back(quantile(w, 0.99));
+    fewest = std::min(fewest, w.size());
+  }
+  const std::string n = "n=" + std::to_string(all.size()) + " " + what;
+  char note[200];
+  std::snprintf(note, sizeof(note), "%s; median of %d window p99s (each n>=%zu); whole-run p99 %.0f",
+                n.c_str(), kTailWindows, fewest, quantile(all, 0.99));
+  rep.add(kind + "_p50_us", quantile(all, 0.50), "us", n);
+  rep.add(kind + "_p99_us", median(p99s), "us", note);
+}
 
 // ============================================================ snapshot ===
 
@@ -389,85 +428,102 @@ FieldF nyx_field(Dim3 d, std::uint64_t seed) {
   return f;
 }
 
-/// Whole-field read-backs per write step. One decode is short and noisy, so
-/// each step reads back several times and the metrics take the median.
+/// Repeats per write step of the operations shorter than build_progressive,
+/// so that their quantiles get more samples.
+constexpr int kTiledWrites = 3;
+constexpr int kWorkflowWrites = 2;
 constexpr int kReadBacks = 3;
+/// Timed operations per write step.
+constexpr int kStepOps = kTiledWrites + 1 + kWorkflowWrites + kReadBacks;
+/// Whole-field decodes of the progressive stream per snapshot-roundtrip step.
+constexpr int kProgressiveDecodes = 2;
 
-/// Input size, timings (seconds) and stored bytes of one write step, or of a
-/// Nyx+WarpX pair of steps summed.
-struct WriteSample {
+/// The write and read-back throughputs are taken at this quantile of each
+/// operation's time. Interference from outside the process (this benchmark shares
+/// its host) only ever adds time and comes in bursts of seconds, so a run's
+/// fast tail is a far steadier estimate of the path's own cost than its
+/// median; the median-based figure is printed beside it.
+constexpr double kFastQuantile = 0.10;
+
+/// Every timed write-path sample of one input field (seconds), its size and
+/// its stored bytes (writes are deterministic, so one size per stream).
+struct WriteTimes {
   double mb = 0;  ///< input megabytes
-  double t_tiled = 0, t_progressive = 0, t_workflow = 0;
-  double t_read = 0;  ///< median whole-field read-back of the tiled stream
+  std::vector<double> tiled, progressive, workflow, read;
   double b_tiled = 0, b_progressive = 0, b_workflow = 0;
-
-  WriteSample& operator+=(const WriteSample& o) {
-    mb += o.mb;
-    t_tiled += o.t_tiled;
-    t_progressive += o.t_progressive;
-    t_workflow += o.t_workflow;
-    t_read += o.t_read;
-    b_tiled += o.b_tiled;
-    b_progressive += o.b_progressive;
-    b_workflow += o.b_workflow;
-    return *this;
-  }
 };
 
-/// One in-situ output step: the field written three ways, then the tiled
-/// stream read back whole kReadBacks times.
+/// One in-situ output step: the field written tiled (kTiledWrites times),
+/// progressive and workflow (kWorkflowWrites times), then the tiled stream
+/// read back whole kReadBacks times. Timings go to `times`; a repeated write
+/// must give the same bytes.
 struct WriteStep {
-  WriteSample sample;
-  std::vector<double> t_reads;  ///< every read-back
   Bytes tiled, progressive, workflow;
   FieldF back;
 };
 
-WriteStep write_step(const FieldF& f, const api::Options& o) {
+WriteStep write_step(const FieldF& f, const api::Options& o, WriteTimes& times) {
   WriteStep s;
-  WriteSample& w = s.sample;
-  w.mb = static_cast<double>(f.size()) * sizeof(float) / 1e6;
-  auto t0 = Clock::now();
-  s.tiled = api::compress_tiled(f, o);
-  w.t_tiled = seconds_since(t0);
-  t0 = Clock::now();
-  s.progressive = api::build_progressive(f, o);
-  w.t_progressive = seconds_since(t0);
-  t0 = Clock::now();
-  s.workflow = api::compress_adaptive(f, o);
-  w.t_workflow = seconds_since(t0);
+  times.mb = static_cast<double>(f.size()) * sizeof(float) / 1e6;
+  auto write = [&](int repeats, std::vector<double>& samples, const char* what, auto&& fn) {
+    Bytes first;
+    for (int i = 0; i < repeats; ++i) {
+      const auto t0 = Clock::now();
+      Bytes b = fn();
+      samples.push_back(seconds_since(t0));
+      if (i == 0) {
+        first = std::move(b);
+      } else {
+        check(b == first, std::string("a repeated ") + what + " write differs");
+      }
+    }
+    return first;
+  };
+  s.tiled = write(kTiledWrites, times.tiled, "tiled", [&] { return api::compress_tiled(f, o); });
+  s.progressive = write(1, times.progressive, "progressive", [&] { return api::build_progressive(f, o); });
+  s.workflow = write(kWorkflowWrites, times.workflow, "workflow", [&] { return api::compress_adaptive(f, o); });
   for (int i = 0; i < kReadBacks; ++i) {
-    t0 = Clock::now();
+    const auto t0 = Clock::now();
     s.back = api::decompress(s.tiled);
-    s.t_reads.push_back(seconds_since(t0));
+    times.read.push_back(seconds_since(t0));
   }
-  w.t_read = median(s.t_reads);
-  w.b_tiled = static_cast<double>(s.tiled.size());
-  w.b_progressive = static_cast<double>(s.progressive.size());
-  w.b_workflow = static_cast<double>(s.workflow.size());
+  times.b_tiled = static_cast<double>(s.tiled.size());
+  times.b_progressive = static_cast<double>(s.progressive.size());
+  times.b_workflow = static_cast<double>(s.workflow.size());
   return s;
 }
 
-/// The write metrics, each the median over `samples`.
-void report_writes(Report& rep, const std::vector<WriteSample>& samples, const std::string& note) {
-  std::vector<double> t, p, w, r, rt, rp, rw;
-  for (const WriteSample& x : samples) {
-    t.push_back(x.mb / x.t_tiled);
-    p.push_back(x.mb / x.t_progressive);
-    w.push_back(x.mb / x.t_workflow);
-    r.push_back(x.mb / x.t_read);
-    rt.push_back(x.mb * 1e6 / x.b_tiled);
-    rp.push_back(x.mb * 1e6 / x.b_progressive);
-    rw.push_back(x.mb * 1e6 / x.b_workflow);
+/// The write metrics over every field's samples. A throughput is the input
+/// of one operation per field over the sum of the fields' operation times at
+/// kFastQuantile, so each field weighs the same however many samples it has.
+void report_writes(Report& rep, const std::vector<WriteTimes>& fields, const std::string& what) {
+  double mb = 0, b_t = 0, b_p = 0, b_w = 0;
+  for (const WriteTimes& x : fields) {
+    mb += x.mb;
+    b_t += x.b_tiled;
+    b_p += x.b_progressive;
+    b_w += x.b_workflow;
   }
-  rep.add("tiled_write_mb_s", median(t), "MB/s", note);
-  rep.add("progressive_write_mb_s", median(p), "MB/s", note);
-  rep.add("workflow_write_mb_s", median(w), "MB/s", note);
-  rep.add("tiled_read_all_mb_s", median(r), "MB/s",
-          note + ", median of " + std::to_string(kReadBacks) + " read-backs each");
-  rep.add("tiled_ratio", median(rt), "x", "input/stored bytes");
-  rep.add("progressive_ratio", median(rp), "x", "input/stored bytes");
-  rep.add("workflow_ratio", median(rw), "x", "input/stored bytes");
+  auto rate = [&](const char* name, std::vector<double> WriteTimes::*samples) {
+    double fast = 0, mid = 0;
+    std::size_t n = 0;
+    for (const WriteTimes& x : fields) {
+      fast += quantile(x.*samples, kFastQuantile);
+      mid += median(x.*samples);
+      n += (x.*samples).size();
+    }
+    char note[200];
+    std::snprintf(note, sizeof(note), "p%.0f of op time, n=%zu %s; at the median %.1f MB/s",
+                  100.0 * kFastQuantile, n, what.c_str(), mb / mid);
+    rep.add(name, mb / fast, "MB/s", note);
+  };
+  rate("tiled_write_mb_s", &WriteTimes::tiled);
+  rate("progressive_write_mb_s", &WriteTimes::progressive);
+  rate("workflow_write_mb_s", &WriteTimes::workflow);
+  rate("tiled_read_all_mb_s", &WriteTimes::read);
+  rep.add("tiled_ratio", mb * 1e6 / b_t, "x", "input/stored bytes");
+  rep.add("progressive_ratio", mb * 1e6 / b_p, "x", "input/stored bytes");
+  rep.add("workflow_ratio", mb * 1e6 / b_w, "x", "input/stored bytes");
 }
 
 struct SnapshotInputs {
@@ -499,29 +555,37 @@ void run_snapshot(const Args& a, Report& rep) {
   const FieldF* fields[2] = {&in.nyx, &in.ez};
   Bytes checked_snapshot[2];
 
-  // Whole (Nyx, WarpX) pairs, so every median mixes the two fields equally.
-  std::vector<WriteSample> pairs;
-  std::vector<double> read_lat, prog_lat;
+  // Whole (Nyx, WarpX) pairs, so both fields have the same sample counts.
+  std::vector<WriteTimes> times(2);
+  std::vector<std::pair<double, double>> read_lat, prog_lat;  // (completion s, us)
   double read_time = 0.0;
   const auto t_start = Clock::now();
   for (int pair = 0;; ++pair) {
-    WriteSample sum;
     for (int which = 0; which < 2; ++which) {
       const FieldF& f = *fields[which];
       const double eb = o.absolute_eb(f);
-      rep.attempted += 3 + kReadBacks;
-      WriteStep s = write_step(f, o);
-      sum += s.sample;
-      for (const double t : s.t_reads) {
-        read_lat.push_back(t * 1e6);
-        read_time += t;
+      WriteTimes& wt = times[static_cast<std::size_t>(which)];
+      const std::size_t first_read = wt.read.size();
+      rep.attempted += kStepOps + kProgressiveDecodes;
+      WriteStep s = write_step(f, o, wt);
+      for (std::size_t i = first_read; i < wt.read.size(); ++i) {
+        read_lat.emplace_back(seconds_since(t_start), wt.read[i] * 1e6);
+        read_time += wt.read[i];
       }
       // Checks, outside the write/read windows. The progressive stream's
-      // whole-field decode is timed as this workload's progressive read.
+      // whole-field decodes are timed as this workload's progressive reads.
       check_within(f, s.back, eb, "tiled stream (api::decompress)");
-      const auto tp0 = Clock::now();
-      const FieldF pback = api::decompress(s.progressive);
-      prog_lat.push_back(seconds_since(tp0) * 1e6);
+      FieldF pback;
+      for (int i = 0; i < kProgressiveDecodes; ++i) {
+        const auto tp0 = Clock::now();
+        FieldF again = api::decompress(s.progressive);
+        prog_lat.emplace_back(seconds_since(t_start), seconds_since(tp0) * 1e6);
+        if (i == 0) {
+          pback = std::move(again);
+        } else {
+          check(identical(pback, again), "a repeated progressive decode differs");
+        }
+      }
       check_within(f, pback, eb, "progressive stream (api::decompress)");
       // Writes are deterministic, so a later pair's snapshot only has to
       // match the bytes the first pair checked.
@@ -532,18 +596,13 @@ void run_snapshot(const Args& a, Report& rep) {
         check(s.workflow == checked_snapshot[which], "a repeated workflow write differs");
       }
     }
-    pairs.push_back(sum);
     if (seconds_since(t_start) >= a.seconds && pair >= 1) break;
   }
-  const std::string nr = "n=" + std::to_string(read_lat.size()) + " whole-field reads";
+  const double loop_seconds = seconds_since(t_start);
   rep.add("setup_s", median(setups), "s", "median of " + std::to_string(kSnapshotSetups) + " set-ups");
-  report_writes(rep, pairs, "median of " + std::to_string(pairs.size()) + " Nyx+WarpX pairs");
-  rep.add("read_p50_us", quantile(read_lat, 0.50), "us", nr);
-  rep.add("read_p99_us", quantile(read_lat, 0.99), "us", nr);
-  rep.add("progressive_p50_us", quantile(prog_lat, 0.50), "us",
-          "n=" + std::to_string(prog_lat.size()) + " whole-field progressive decodes");
-  rep.add("progressive_p99_us", quantile(prog_lat, 0.99), "us",
-          "n=" + std::to_string(prog_lat.size()) + " whole-field progressive decodes");
+  report_writes(rep, times, "samples, Nyx and WarpX");
+  add_latency(rep, "read", read_lat, loop_seconds, "whole-field reads");
+  add_latency(rep, "progressive", prog_lat, loop_seconds, "whole-field progressive decodes");
   rep.add("reads_per_s", static_cast<double>(read_lat.size()) / read_time, "1/s",
           "whole-field read-backs per second of read time");
 }
@@ -594,12 +653,11 @@ void open_server(Served& sv) {
 /// explore-cold's set-up (timed): write the field three ways (the in-situ
 /// output that precedes any viewing), read the tiled stream back, and open
 /// the served streams behind one Server.
-Served setup_serving(const FieldF& f, WriteSample& w) {
+Served setup_serving(const FieldF& f, WriteTimes& w) {
   const api::Options o = write_options();
   Served sv;
   sv.dims = f.dims();
-  WriteStep s = write_step(f, o);
-  w = s.sample;
+  WriteStep s = write_step(f, o, w);
   sv.mrct = std::move(s.tiled);
   sv.mrcr = std::move(s.progressive);
   sv.snapshot = std::move(s.workflow);
@@ -737,49 +795,15 @@ void warm(const Args& a, Served& sv) {
   sv.srv->wait_idle();
 }
 
-/// Tail windows per timed loop. A burst of interference from outside the
-/// process (this benchmark shares its host) lands in one window and moves
-/// that window's p99 only.
-constexpr int kTailWindows = 5;
-
-/// `<kind>_p50_us` over every sample and `<kind>_p99_us` as the median of the
-/// p99s of kTailWindows equal time windows; the whole-run p99 goes in the
-/// note. Samples are (completion time, latency us).
-void add_latency(Report& rep, const std::string& kind,
-                 const std::vector<std::pair<double, double>>& samples, double seconds,
-                 const std::string& what) {
-  std::vector<double> all;
-  std::vector<std::vector<double>> win(kTailWindows);
-  for (const auto& [t, us] : samples) {
-    all.push_back(us);
-    const int w = std::min(kTailWindows - 1, static_cast<int>(t / seconds * kTailWindows));
-    win[static_cast<std::size_t>(w)].push_back(us);
-  }
-  std::vector<double> p99s;
-  std::size_t fewest = all.size();
-  for (const auto& w : win) {
-    p99s.push_back(quantile(w, 0.99));
-    fewest = std::min(fewest, w.size());
-  }
-  const std::string n = "n=" + std::to_string(all.size()) + " " + what;
-  char note[200];
-  std::snprintf(note, sizeof(note), "%s; median of %d window p99s (each n>=%zu); whole-run p99 %.0f",
-                n.c_str(), kTailWindows, fewest, quantile(all, 0.99));
-  rep.add(kind + "_p50_us", quantile(all, 0.50), "us", n);
-  rep.add(kind + "_p99_us", median(p99s), "us", note);
-}
-
 void run_serving(const Args& a, Report& rep) {
   const FieldF f = nyx_field({a.extent, a.extent, a.extent}, a.seed);
-  std::vector<WriteSample> writes;
+  std::vector<WriteTimes> writes(1);
   std::vector<double> setups;
   Served sv;
   for (int i = 0; i < kServingSetups; ++i) {
-    WriteSample w;
     const auto t0 = Clock::now();
-    Served again = setup_serving(f, w);
+    Served again = setup_serving(f, writes[0]);
     setups.push_back(seconds_since(t0));
-    writes.push_back(w);
     if (i == 0) {
       sv = std::move(again);
       check_served(a, f, sv);
@@ -787,41 +811,69 @@ void run_serving(const Args& a, Report& rep) {
       check_same_streams(sv, again);
     }
   }
+  // Timed loop: rounds of one write step of the field, then the clients
+  // serving reads for as long as kServingWriteShare leaves them, until
+  // --seconds. Interleaving spreads both kinds of metric over the whole run,
+  // so a stretch of interference from outside the process weighs on each
+  // alike. Write steps do not touch the server, so its cache stays warm.
+  const api::Options o = write_options();
   warm(a, sv);
 
-  // Samples are (completion time since the loop started, latency us). Each
-  // client also sums the time it spent inside operations, so the per-read
-  // check (outside the timed window) does not count towards reads_per_s.
+  // Samples are (serving time so far, latency us): the latency windows cut
+  // serving time only. Each client also sums the time it spent inside
+  // operations, so the per-read check (outside the timed window) does not
+  // count towards reads_per_s.
   using Sample = std::pair<double, double>;
   std::atomic<std::uint64_t> attempted{0}, failed{0};
   std::vector<std::string> errors(kClients);
   std::vector<double> busy(kClients, 0.0);
-  std::vector<std::thread> threads;
   std::vector<std::vector<Sample>> client_lat(kClients * kNumKinds);
+  std::vector<std::unique_ptr<WireClient>> clients;
+  std::vector<OpStream> streams;
+  for (int c = 0; c < kClients; ++c) {
+    clients.push_back(std::make_unique<WireClient>(*sv.srv));
+    streams.emplace_back(a.extent, a.seed * 1000003ull + static_cast<std::uint64_t>(c));
+  }
+  double served = 0.0;
   const auto t_start = Clock::now();
-  const auto deadline = t_start + std::chrono::duration<double>(a.seconds);
-  for (int c = 0; c < kClients; ++c)
-    threads.emplace_back([&, c] {
-      try {
-        WireClient wc(*sv.srv);
-        OpStream ops(a.extent, a.seed * 1000003ull + static_cast<std::uint64_t>(c));
-        while (Clock::now() < deadline) {
-          const Op op = ops.next();
-          const OpResult r = issue(wc, sv, op);
-          attempted.fetch_add(1, std::memory_order_relaxed);
-          if (r.failed) failed.fetch_add(1, std::memory_order_relaxed);
-          busy[static_cast<std::size_t>(c)] += r.seconds;
-          client_lat[static_cast<std::size_t>(c * kNumKinds + op.kind)].emplace_back(
-              seconds_since(t_start),
-              r.failed ? std::numeric_limits<double>::infinity() : r.seconds * 1e6);
+  while (seconds_since(t_start) < a.seconds) {
+    const auto tw = Clock::now();
+    rep.attempted += kStepOps;
+    const WriteStep s = write_step(f, o, writes[0]);
+    const double write_s = seconds_since(tw);
+    check(s.tiled == sv.mrct && s.progressive == sv.mrcr && s.workflow == sv.snapshot,
+          "a repeated write differs from the checked set-up streams");
+    check(identical(s.back, sv.ref_t), "a repeated read-back differs from the checked one");
+
+    const double left = a.seconds - seconds_since(t_start);
+    const double block =
+        std::min(write_s * (1.0 - kServingWriteShare) / kServingWriteShare, std::max(left, 0.5));
+    const auto t_block = Clock::now();
+    const auto deadline = t_block + std::chrono::duration<double>(block);
+    std::vector<std::thread> threads;
+    for (int c = 0; c < kClients; ++c)
+      threads.emplace_back([&, c] {
+        const auto ci = static_cast<std::size_t>(c);
+        try {
+          while (Clock::now() < deadline) {
+            const Op op = streams[ci].next();
+            const OpResult r = issue(*clients[ci], sv, op);
+            attempted.fetch_add(1, std::memory_order_relaxed);
+            if (r.failed) failed.fetch_add(1, std::memory_order_relaxed);
+            busy[ci] += r.seconds;
+            client_lat[ci * kNumKinds + static_cast<std::size_t>(op.kind)].emplace_back(
+                served + seconds_since(t_block),
+                r.failed ? std::numeric_limits<double>::infinity() : r.seconds * 1e6);
+          }
+        } catch (const std::exception& e) {
+          errors[ci] = e.what();
         }
-      } catch (const std::exception& e) {
-        errors[static_cast<std::size_t>(c)] = e.what();
-      }
-    });
-  for (auto& t : threads) t.join();
-  for (const auto& e : errors)
-    if (!e.empty()) throw CheckFailure(e);
+      });
+    for (auto& t : threads) t.join();
+    served += seconds_since(t_block);
+    for (const auto& e : errors)
+      if (!e.empty()) throw CheckFailure(e);
+  }
   std::vector<Sample> lat[kNumKinds];
   for (int c = 0; c < kClients; ++c)
     for (int k = 0; k < kNumKinds; ++k) {
@@ -837,9 +889,9 @@ void run_serving(const Args& a, Report& rep) {
   const serve::ServerStats st = sv.srv->stats();
 
   rep.add("setup_s", median(setups), "s", "median of " + std::to_string(kServingSetups) + " set-ups");
-  report_writes(rep, writes, "median of " + std::to_string(writes.size()) + " set-ups (Nyx)");
-  add_latency(rep, "read", lat[kRegionMrct], a.seconds, "region reads");
-  add_latency(rep, "progressive", lat[kProgressiveMrcr], a.seconds, "progressive reads");
+  report_writes(rep, writes, "Nyx samples, set-ups included");
+  add_latency(rep, "read", lat[kRegionMrct], served, "region reads");
+  add_latency(rep, "progressive", lat[kProgressiveMrcr], served, "progressive reads");
   char note[200];
   std::snprintf(note, sizeof(note),
                 "%d closed-loop clients; per mean client busy %.3f s; cache hit ratio %.3f, %llu shed",
@@ -969,7 +1021,7 @@ void trace_snapshot(const Args& a, LayerTotals& L, Report& rep) {
 /// progressive::refine over its support chain.
 void trace_serving(const Args& a, LayerTotals& L, Report& rep) {
   const FieldF f = nyx_field({a.extent, a.extent, a.extent}, a.seed);
-  WriteSample w;
+  WriteTimes w;
   Served sv = setup_serving(f, w);
   check_served(a, f, sv);
   const CodecRegistry& reg = registry();
