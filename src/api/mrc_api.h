@@ -92,8 +92,10 @@ struct Options {
   index_t block_size = 0;  ///< lorenzo block edge; 0 = codec default
   bool use_regression = true;
   /// Exec-pool lanes: brick compression in compress_tiled, per-level stream
-  /// compression in compress_adaptive, chunk count of the chunked codecs.
-  /// 0 = hardware concurrency.
+  /// compression in compress_adaptive, chunk count of the chunked codecs;
+  /// in build_progressive (and its whole-field decode) the lanes also run
+  /// the restrict, prolong, residual and entropy passes. Every stream is
+  /// byte-identical for any lane count. 0 = hardware concurrency.
   int threads = 1;
   /// Requested entropy shards per Huffman code stream (negotiated down by
   /// stream size). > 1 writes the v7 sharded layout so one large brick's

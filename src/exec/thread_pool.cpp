@@ -186,4 +186,14 @@ void ThreadPool::parallel_for(index_t n, const std::function<void(index_t)>& bod
   if (sh.error) std::rethrow_exception(sh.error);
 }
 
+index_t ThreadPool::slab_count(index_t n) const {
+  return std::clamp<index_t>(n, 0, 4 * static_cast<index_t>(size()));
+}
+
+void ThreadPool::parallel_slabs(
+    index_t n, const std::function<void(index_t, index_t, index_t)>& body) {
+  const index_t k = slab_count(n);
+  parallel_for(k, [&](index_t s) { body(s, s * n / k, (s + 1) * n / k); });
+}
+
 }  // namespace mrc::exec

@@ -112,6 +112,17 @@ class ThreadPool {
   void parallel_for(index_t n, const std::function<void(index_t)>& body,
                     index_t grain = 1);
 
+  /// Number of slabs parallel_slabs splits [0, n) into: min(n, 4 * size()),
+  /// enough to balance uneven slabs without shrinking them to nothing.
+  [[nodiscard]] index_t slab_count(index_t n) const;
+
+  /// Splits [0, n) into k = slab_count(n) contiguous ranges [s*n/k,
+  /// (s+1)*n/k) and runs body(s, lo, hi) for each across the lanes — the
+  /// z-slab split of the whole-field grid passes. A caller reducing per-slab
+  /// results sizes its buffer with slab_count(n) and indexes it by s.
+  void parallel_slabs(index_t n,
+                      const std::function<void(index_t, index_t, index_t)>& body);
+
  private:
   void post(std::function<void()> fn, Priority p = Priority::high);
   void worker_loop();

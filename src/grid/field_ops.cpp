@@ -2,8 +2,124 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+
+#include "exec/thread_pool.h"
 
 namespace mrc {
+
+namespace {
+
+/// One axis of the cell-centered trilinear map, tabulated over a run of fine
+/// indices: fine index `first + k` reads the coarse pair (i0[k], i1[k]) with
+/// weight frac[k] on i1. Coarse indices are relative to the first coarse
+/// index the caller holds (the window origin; 0 for a full grid).
+struct AxisMap {
+  std::vector<index_t> i0, i1;
+  std::vector<double> frac;
+};
+
+AxisMap axis_map(index_t coarse_n, index_t fine_n, index_t first, index_t count,
+                 index_t window_lo) {
+  // Cell-centered alignment: fine cell center x_f maps to coarse coordinate
+  // (x_f + 0.5) * (cd/fd) - 0.5.
+  const double r = static_cast<double>(coarse_n) / static_cast<double>(fine_n);
+  AxisMap m;
+  m.i0.resize(static_cast<std::size_t>(count));
+  m.i1.resize(static_cast<std::size_t>(count));
+  m.frac.resize(static_cast<std::size_t>(count));
+  for (index_t k = 0; k < count; ++k) {
+    const double g = (static_cast<double>(first + k) + 0.5) * r - 0.5;
+    const index_t lo = std::clamp(static_cast<index_t>(std::floor(g)), index_t{0},
+                                  coarse_n - 1);
+    const index_t hi = std::clamp(lo + 1, index_t{0}, coarse_n - 1);
+    const auto i = static_cast<std::size_t>(k);
+    m.frac[i] = std::clamp(g - static_cast<double>(lo), 0.0, 1.0);
+    m.i0[i] = lo - window_lo;
+    m.i1[i] = hi - window_lo;
+  }
+  return m;
+}
+
+/// The trilinear map of the fine window [fine_origin, fine_origin +
+/// fine_extent) of a fine_dims grid onto a coarse_dims grid, of which the
+/// caller holds the box starting at window_lo.
+struct TrilinearMap {
+  AxisMap x, y, z;
+};
+
+TrilinearMap trilinear_map(Dim3 coarse_dims, Dim3 fine_dims, Coord3 fine_origin,
+                           Dim3 fine_extent, Coord3 window_lo) {
+  return {axis_map(coarse_dims.nx, fine_dims.nx, fine_origin.x, fine_extent.nx,
+                   window_lo.x),
+          axis_map(coarse_dims.ny, fine_dims.ny, fine_origin.y, fine_extent.ny,
+                   window_lo.y),
+          axis_map(coarse_dims.nz, fine_dims.nz, fine_origin.z, fine_extent.nz,
+                   window_lo.z)};
+}
+
+/// The one trilinear kernel: row (y, z) of the map — table indices, not grid
+/// indices — into out[0, m.x.i0.size()). Every prolongation in the library
+/// (full, windowed, pooled, error-only) evaluates this expression, so they
+/// agree bit for bit.
+void trilinear_row(const FieldF& coarse, const TrilinearMap& m, index_t y, index_t z,
+                   float* out) {
+  const auto yi = static_cast<std::size_t>(y), zi = static_cast<std::size_t>(z);
+  const double fy = m.y.frac[yi], fz = m.z.frac[zi];
+  const float* r00 = &coarse.at(0, m.y.i0[yi], m.z.i0[zi]);
+  const float* r10 = &coarse.at(0, m.y.i1[yi], m.z.i0[zi]);
+  const float* r01 = &coarse.at(0, m.y.i0[yi], m.z.i1[zi]);
+  const float* r11 = &coarse.at(0, m.y.i1[yi], m.z.i1[zi]);
+  const std::size_t nx = m.x.i0.size();
+  const index_t* x0s = m.x.i0.data();
+  const index_t* x1s = m.x.i1.data();
+  const double* fxs = m.x.frac.data();
+  for (std::size_t x = 0; x < nx; ++x) {
+    const index_t x0 = x0s[x], x1 = x1s[x];
+    const double fx = fxs[x];
+    const double c00 = r00[x0] * (1 - fx) + r00[x1] * fx;
+    const double c10 = r10[x0] * (1 - fx) + r10[x1] * fx;
+    const double c01 = r01[x0] * (1 - fx) + r01[x1] * fx;
+    const double c11 = r11[x0] * (1 - fx) + r11[x1] * fx;
+    const double c0 = c00 * (1 - fy) + c10 * fy;
+    const double c1 = c01 * (1 - fy) + c11 * fy;
+    out[x] = static_cast<float>(c0 * (1 - fz) + c1 * fz);
+  }
+}
+
+/// Map rows z in [z0, z1) stored contiguously (x fastest) from `out`, which
+/// points at row (0, z0) of a field of the map's extent.
+void trilinear_slab(const FieldF& coarse, const TrilinearMap& m, index_t z0, index_t z1,
+                    float* out) {
+  const auto nx = static_cast<index_t>(m.x.i0.size());
+  const auto ny = static_cast<index_t>(m.y.i0.size());
+  for (index_t z = z0; z < z1; ++z)
+    for (index_t y = 0; y < ny; ++y)
+      trilinear_row(coarse, m, y, z, out + ((z - z0) * ny + y) * nx);
+}
+
+/// Coarse z-slab [z_lo, z_hi) of restrict_half(fine) into `coarse`.
+void restrict_half_slab(const FieldF& fine, FieldF& coarse, index_t z_lo, index_t z_hi) {
+  const Dim3 fd = fine.dims();
+  const Dim3 cd = coarse.dims();
+  for (index_t z = z_lo; z < z_hi; ++z) {
+    const index_t z0 = 2 * z, z1 = std::min(z0 + 2, fd.nz);
+    for (index_t y = 0; y < cd.ny; ++y) {
+      const index_t y0 = 2 * y, y1 = std::min(y0 + 2, fd.ny);
+      for (index_t x = 0; x < cd.nx; ++x) {
+        const index_t x0 = 2 * x, x1 = std::min(x0 + 2, fd.nx);
+        double sum = 0.0;
+        for (index_t k = z0; k < z1; ++k)
+          for (index_t j = y0; j < y1; ++j)
+            for (index_t i = x0; i < x1; ++i) sum += fine.at(i, j, k);
+        coarse.at(x, y, z) = static_cast<float>(
+            sum / static_cast<double>((x1 - x0) * (y1 - y0) * (z1 - z0)));
+      }
+    }
+  }
+}
+
+}  // namespace
 
 FieldF restrict_average(const FieldF& fine, index_t factor) {
   MRC_REQUIRE(factor >= 1, "bad restriction factor");
@@ -28,25 +144,41 @@ FieldF restrict_average(const FieldF& fine, index_t factor) {
 
 FieldF restrict_half(const FieldF& fine) {
   MRC_REQUIRE(!fine.empty(), "restrict_half of empty field");
-  const Dim3 fd = fine.dims();
-  const Dim3 cd = blocks_for(fd, 2);
-  FieldF coarse(cd);
-  for (index_t z = 0; z < cd.nz; ++z) {
-    const index_t z0 = 2 * z, z1 = std::min(z0 + 2, fd.nz);
-    for (index_t y = 0; y < cd.ny; ++y) {
-      const index_t y0 = 2 * y, y1 = std::min(y0 + 2, fd.ny);
-      for (index_t x = 0; x < cd.nx; ++x) {
-        const index_t x0 = 2 * x, x1 = std::min(x0 + 2, fd.nx);
-        double sum = 0.0;
-        for (index_t k = z0; k < z1; ++k)
-          for (index_t j = y0; j < y1; ++j)
-            for (index_t i = x0; i < x1; ++i) sum += fine.at(i, j, k);
-        coarse.at(x, y, z) = static_cast<float>(
-            sum / static_cast<double>((x1 - x0) * (y1 - y0) * (z1 - z0)));
-      }
-    }
-  }
+  FieldF coarse(blocks_for(fine.dims(), 2));
+  restrict_half_slab(fine, coarse, 0, coarse.dims().nz);
   return coarse;
+}
+
+FieldF restrict_half(const FieldF& fine, exec::ThreadPool& pool) {
+  MRC_REQUIRE(!fine.empty(), "restrict_half of empty field");
+  FieldF coarse(blocks_for(fine.dims(), 2));
+  pool.parallel_slabs(coarse.dims().nz, [&](index_t, index_t z_lo, index_t z_hi) {
+    restrict_half_slab(fine, coarse, z_lo, z_hi);
+  });
+  return coarse;
+}
+std::pair<float, float> min_max(const FieldF& f, exec::ThreadPool& pool) {
+  MRC_REQUIRE(!f.empty(), "min_max of empty field");
+  // A strict `<` keeps the earliest minimum, `<=` takes the latest maximum,
+  // and both comparisons fail for NaN — per slab and again across slabs in
+  // slab order.
+  constexpr float inf = std::numeric_limits<float>::infinity();
+  std::vector<std::pair<float, float>> slabs(static_cast<std::size_t>(pool.slab_count(f.size())),
+                                             {inf, -inf});
+  pool.parallel_slabs(f.size(), [&](index_t s, index_t i0, index_t i1) {
+    float lo = inf, hi = -inf;
+    for (index_t i = i0; i < i1; ++i) {
+      if (f[i] < lo) lo = f[i];
+      if (hi <= f[i]) hi = f[i];
+    }
+    slabs[static_cast<std::size_t>(s)] = {lo, hi};
+  });
+  float lo = inf, hi = -inf;
+  for (const auto& [slo, shi] : slabs) {
+    if (slo < lo) lo = slo;
+    if (hi <= shi) hi = shi;
+  }
+  return {lo, hi};
 }
 
 FieldF prolong_nearest(const FieldF& coarse, Dim3 fine_dims) {
@@ -66,42 +198,21 @@ FieldF prolong_nearest(const FieldF& coarse, Dim3 fine_dims) {
 }
 
 FieldF prolong_trilinear(const FieldF& coarse, Dim3 fine_dims) {
-  const Dim3 cd = coarse.dims();
   FieldF fine(fine_dims);
-  // Cell-centered alignment: fine cell center x_f maps to coarse coordinate
-  // (x_f + 0.5) * (cd/fd) - 0.5.
-  const double rx = static_cast<double>(cd.nx) / static_cast<double>(fine_dims.nx);
-  const double ry = static_cast<double>(cd.ny) / static_cast<double>(fine_dims.ny);
-  const double rz = static_cast<double>(cd.nz) / static_cast<double>(fine_dims.nz);
-  auto clampi = [](index_t v, index_t lo, index_t hi) { return std::clamp(v, lo, hi); };
-  for (index_t z = 0; z < fine_dims.nz; ++z) {
-    const double gz = (static_cast<double>(z) + 0.5) * rz - 0.5;
-    const auto z0 = clampi(static_cast<index_t>(std::floor(gz)), 0, cd.nz - 1);
-    const auto z1 = clampi(z0 + 1, 0, cd.nz - 1);
-    const double fz = std::clamp(gz - static_cast<double>(z0), 0.0, 1.0);
-    for (index_t y = 0; y < fine_dims.ny; ++y) {
-      const double gy = (static_cast<double>(y) + 0.5) * ry - 0.5;
-      const auto y0 = clampi(static_cast<index_t>(std::floor(gy)), 0, cd.ny - 1);
-      const auto y1 = clampi(y0 + 1, 0, cd.ny - 1);
-      const double fy = std::clamp(gy - static_cast<double>(y0), 0.0, 1.0);
-      for (index_t x = 0; x < fine_dims.nx; ++x) {
-        const double gx = (static_cast<double>(x) + 0.5) * rx - 0.5;
-        const auto x0 = clampi(static_cast<index_t>(std::floor(gx)), 0, cd.nx - 1);
-        const auto x1 = clampi(x0 + 1, 0, cd.nx - 1);
-        const double fx = std::clamp(gx - static_cast<double>(x0), 0.0, 1.0);
-        const double c00 = coarse.at(x0, y0, z0) * (1 - fx) + coarse.at(x1, y0, z0) * fx;
-        const double c10 = coarse.at(x0, y1, z0) * (1 - fx) + coarse.at(x1, y1, z0) * fx;
-        const double c01 = coarse.at(x0, y0, z1) * (1 - fx) + coarse.at(x1, y0, z1) * fx;
-        const double c11 = coarse.at(x0, y1, z1) * (1 - fx) + coarse.at(x1, y1, z1) * fx;
-        const double c0 = c00 * (1 - fy) + c10 * fy;
-        const double c1 = c01 * (1 - fy) + c11 * fy;
-        fine.at(x, y, z) = static_cast<float>(c0 * (1 - fz) + c1 * fz);
-      }
-    }
-  }
+  const TrilinearMap m = trilinear_map(coarse.dims(), fine_dims, {}, fine_dims, {});
+  trilinear_slab(coarse, m, 0, fine_dims.nz, fine.data());
   return fine;
 }
 
+FieldF prolong_trilinear(const FieldF& coarse, Dim3 fine_dims, exec::ThreadPool& pool) {
+  FieldF fine(fine_dims);
+  const TrilinearMap m = trilinear_map(coarse.dims(), fine_dims, {}, fine_dims, {});
+  const index_t plane = fine_dims.nx * fine_dims.ny;
+  pool.parallel_slabs(fine_dims.nz, [&](index_t, index_t z0, index_t z1) {
+    trilinear_slab(coarse, m, z0, z1, fine.data() + z0 * plane);
+  });
+  return fine;
+}
 SupportBox prolong_support(Dim3 coarse_dims, Dim3 fine_dims, Coord3 fine_origin,
                            Dim3 fine_extent) {
   MRC_REQUIRE(fine_extent.nx >= 1 && fine_extent.ny >= 1 && fine_extent.nz >= 1,
@@ -147,95 +258,35 @@ FieldF prolong_trilinear_region(const FieldF& coarse_window, Coord3 window_origi
                   window_origin.y + wd.ny >= need.origin.y + need.extent.ny &&
                   window_origin.z + wd.nz >= need.origin.z + need.extent.nz,
               "prolong_trilinear_region: coarse window does not cover the support");
+  // The tables are built at global fine indices against the global coarse
+  // dims, then shifted into the window, so every sample is the same double
+  // expression as in prolong_trilinear: bit-identical to the same window of
+  // the full prolongation.
   FieldF fine(fine_extent);
-  // Exactly prolong_trilinear's cell-centered arithmetic, evaluated at global
-  // fine indices with global coarse dims — the per-sample double expressions
-  // match term for term, so the float results are bit-identical to the same
-  // window of the full prolongation.
-  const double rx =
-      static_cast<double>(coarse_dims.nx) / static_cast<double>(fine_dims.nx);
-  const double ry =
-      static_cast<double>(coarse_dims.ny) / static_cast<double>(fine_dims.ny);
-  const double rz =
-      static_cast<double>(coarse_dims.nz) / static_cast<double>(fine_dims.nz);
-  auto clampi = [](index_t v, index_t lo, index_t hi) { return std::clamp(v, lo, hi); };
-  for (index_t z = 0; z < fine_extent.nz; ++z) {
-    const double gz = (static_cast<double>(fine_origin.z + z) + 0.5) * rz - 0.5;
-    const auto z0 = clampi(static_cast<index_t>(std::floor(gz)), 0, coarse_dims.nz - 1);
-    const auto z1 = clampi(z0 + 1, 0, coarse_dims.nz - 1);
-    const double fz = std::clamp(gz - static_cast<double>(z0), 0.0, 1.0);
-    for (index_t y = 0; y < fine_extent.ny; ++y) {
-      const double gy = (static_cast<double>(fine_origin.y + y) + 0.5) * ry - 0.5;
-      const auto y0 =
-          clampi(static_cast<index_t>(std::floor(gy)), 0, coarse_dims.ny - 1);
-      const auto y1 = clampi(y0 + 1, 0, coarse_dims.ny - 1);
-      const double fy = std::clamp(gy - static_cast<double>(y0), 0.0, 1.0);
-      for (index_t x = 0; x < fine_extent.nx; ++x) {
-        const double gx = (static_cast<double>(fine_origin.x + x) + 0.5) * rx - 0.5;
-        const auto x0 =
-            clampi(static_cast<index_t>(std::floor(gx)), 0, coarse_dims.nx - 1);
-        const auto x1 = clampi(x0 + 1, 0, coarse_dims.nx - 1);
-        const double fx = std::clamp(gx - static_cast<double>(x0), 0.0, 1.0);
-        auto c = [&](index_t cx, index_t cy, index_t cz) {
-          return coarse_window.at(cx - window_origin.x, cy - window_origin.y,
-                                  cz - window_origin.z);
-        };
-        const double c00 = c(x0, y0, z0) * (1 - fx) + c(x1, y0, z0) * fx;
-        const double c10 = c(x0, y1, z0) * (1 - fx) + c(x1, y1, z0) * fx;
-        const double c01 = c(x0, y0, z1) * (1 - fx) + c(x1, y0, z1) * fx;
-        const double c11 = c(x0, y1, z1) * (1 - fx) + c(x1, y1, z1) * fx;
-        const double c0 = c00 * (1 - fy) + c10 * fy;
-        const double c1 = c01 * (1 - fy) + c11 * fy;
-        fine.at(x, y, z) = static_cast<float>(c0 * (1 - fz) + c1 * fz);
-      }
-    }
-  }
+  const TrilinearMap m =
+      trilinear_map(coarse_dims, fine_dims, fine_origin, fine_extent, window_origin);
+  trilinear_slab(coarse_window, m, 0, fine_extent.nz, fine.data());
   return fine;
 }
 
 double prolong_error_slab(const FieldF& coarse, const FieldF& fine, index_t z0,
                           index_t z1) {
-  const Dim3 cd = coarse.dims();
   const Dim3 fd = fine.dims();
   MRC_REQUIRE(z0 >= 0 && z0 <= z1 && z1 <= fd.nz, "bad prolongation slab");
-  // Same cell-centered sampling as prolong_trilinear, but compared against
-  // `fine` sample-by-sample instead of stored.
-  const double rx = static_cast<double>(cd.nx) / static_cast<double>(fd.nx);
-  const double ry = static_cast<double>(cd.ny) / static_cast<double>(fd.ny);
-  const double rz = static_cast<double>(cd.nz) / static_cast<double>(fd.nz);
-  auto clampi = [](index_t v, index_t lo, index_t hi) { return std::clamp(v, lo, hi); };
+  // The prolonged rows of the slab, compared against `fine` one row at a
+  // time instead of stored.
+  const TrilinearMap m = trilinear_map(coarse.dims(), fd, {0, 0, z0},
+                                       {fd.nx, fd.ny, z1 - z0}, {});
+  std::vector<float> row(static_cast<std::size_t>(fd.nx));
   double err = 0.0;
-  for (index_t z = z0; z < z1; ++z) {
-    const double gz = (static_cast<double>(z) + 0.5) * rz - 0.5;
-    const auto cz0 = clampi(static_cast<index_t>(std::floor(gz)), 0, cd.nz - 1);
-    const auto cz1 = clampi(cz0 + 1, 0, cd.nz - 1);
-    const double fz = std::clamp(gz - static_cast<double>(cz0), 0.0, 1.0);
+  for (index_t z = z0; z < z1; ++z)
     for (index_t y = 0; y < fd.ny; ++y) {
-      const double gy = (static_cast<double>(y) + 0.5) * ry - 0.5;
-      const auto cy0 = clampi(static_cast<index_t>(std::floor(gy)), 0, cd.ny - 1);
-      const auto cy1 = clampi(cy0 + 1, 0, cd.ny - 1);
-      const double fy = std::clamp(gy - static_cast<double>(cy0), 0.0, 1.0);
-      for (index_t x = 0; x < fd.nx; ++x) {
-        const double gx = (static_cast<double>(x) + 0.5) * rx - 0.5;
-        const auto cx0 = clampi(static_cast<index_t>(std::floor(gx)), 0, cd.nx - 1);
-        const auto cx1 = clampi(cx0 + 1, 0, cd.nx - 1);
-        const double fx = std::clamp(gx - static_cast<double>(cx0), 0.0, 1.0);
-        const double c00 =
-            coarse.at(cx0, cy0, cz0) * (1 - fx) + coarse.at(cx1, cy0, cz0) * fx;
-        const double c10 =
-            coarse.at(cx0, cy1, cz0) * (1 - fx) + coarse.at(cx1, cy1, cz0) * fx;
-        const double c01 =
-            coarse.at(cx0, cy0, cz1) * (1 - fx) + coarse.at(cx1, cy0, cz1) * fx;
-        const double c11 =
-            coarse.at(cx0, cy1, cz1) * (1 - fx) + coarse.at(cx1, cy1, cz1) * fx;
-        const double c0 = c00 * (1 - fy) + c10 * fy;
-        const double c1 = c01 * (1 - fy) + c11 * fy;
-        const auto value = static_cast<float>(c0 * (1 - fz) + c1 * fz);
-        err = std::max(err, std::abs(static_cast<double>(value) -
-                                     static_cast<double>(fine.at(x, y, z))));
-      }
+      trilinear_row(coarse, m, y, z - z0, row.data());
+      const float* f = &fine.at(0, y, z);
+      for (index_t x = 0; x < fd.nx; ++x)
+        err = std::max(err, std::abs(static_cast<double>(row[static_cast<std::size_t>(x)]) -
+                                     static_cast<double>(f[x])));
     }
-  }
   return err;
 }
 

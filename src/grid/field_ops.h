@@ -8,6 +8,10 @@
 
 namespace mrc {
 
+namespace exec {
+class ThreadPool;
+}
+
 /// Box-average downsampling by an integer factor along every axis.
 /// Extents must be divisible by the factor.
 [[nodiscard]] FieldF restrict_average(const FieldF& fine, index_t factor);
@@ -18,11 +22,27 @@ namespace mrc {
 /// built by iterating this, so level extents follow ceil_div(dims, 2^level).
 [[nodiscard]] FieldF restrict_half(const FieldF& fine);
 
+/// restrict_half with its coarse z-slabs spread across `pool`'s lanes.
+/// Every coarse cell is the same expression, so the result is bit-identical
+/// to the serial form for any lane count.
+[[nodiscard]] FieldF restrict_half(const FieldF& fine, exec::ThreadPool& pool);
+
+/// f.min_max() with slabs spread across `pool`'s lanes: the first smallest
+/// and the last largest sample, the ones std::minmax_element picks, so a +-0
+/// tie resolves the same for any lane count. NaN samples are skipped (an
+/// all-NaN field gives {+inf, -inf}).
+[[nodiscard]] std::pair<float, float> min_max(const FieldF& f, exec::ThreadPool& pool);
+
 /// Nearest-neighbor (injection) upsampling to `fine_dims`.
 [[nodiscard]] FieldF prolong_nearest(const FieldF& coarse, Dim3 fine_dims);
 
 /// Trilinear upsampling to `fine_dims` (cell-centered alignment).
 [[nodiscard]] FieldF prolong_trilinear(const FieldF& coarse, Dim3 fine_dims);
+
+/// prolong_trilinear with its fine z-slabs spread across `pool`'s lanes;
+/// bit-identical to the serial form for any lane count.
+[[nodiscard]] FieldF prolong_trilinear(const FieldF& coarse, Dim3 fine_dims,
+                                       exec::ThreadPool& pool);
 
 /// Coarse footprint of prolong_trilinear over the fine window
 /// [fine_origin, fine_origin + fine_extent) of a fine_dims grid: the

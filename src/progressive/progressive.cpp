@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_map>
+#include <limits>
 
 #include "exec/thread_pool.h"
 #include "grid/field_ops.h"
@@ -15,59 +15,153 @@ namespace {
 /// Smallest possible level record: 5 single-byte varints + six f32s.
 inline constexpr std::size_t kMinLevelRecord = 29;
 
-/// a + b per sample, accumulated in double and rounded once to float — the
-/// single reconstruction step recon = prolong + residual. Build, full
-/// decode, windowed reads and the wire client all go through this exact
-/// expression, which is what makes every path bit-identical.
-void add_into(FieldF& acc, const FieldF& add) {
+/// acc[i] = acc[i] + add[i] over the flat index range [lo, hi), accumulated
+/// in double and rounded once to float — the single reconstruction step
+/// recon = prolong + residual. Build, full decode, windowed reads and the
+/// wire client all go through this exact expression, which is what makes
+/// every path bit-identical.
+void add_range(FieldF& acc, const FieldF& add, index_t lo, index_t hi) {
+  for (index_t i = lo; i < hi; ++i)
+    acc[i] = static_cast<float>(static_cast<double>(acc[i]) + static_cast<double>(add[i]));
+}
+
+void add_into(FieldF& acc, const FieldF& add, exec::ThreadPool& pool) {
   MRC_REQUIRE(acc.dims() == add.dims(), "progressive: addend extents mismatch");
-  const Dim3 d = acc.dims();
-  for (index_t z = 0; z < d.nz; ++z)
-    for (index_t y = 0; y < d.ny; ++y)
-      for (index_t x = 0; x < d.nx; ++x)
-        acc.at(x, y, z) = static_cast<float>(static_cast<double>(acc.at(x, y, z)) +
-                                             static_cast<double>(add.at(x, y, z)));
+  pool.parallel_slabs(acc.size(), [&](index_t, index_t lo, index_t hi) {
+    add_range(acc, add, lo, hi);
+  });
 }
 
-/// data - base per sample (double accumulate, one float rounding).
-FieldF subtract(const FieldF& data, const FieldF& base) {
-  MRC_REQUIRE(data.dims() == base.dims(), "progressive: residual extents mismatch");
-  const Dim3 d = data.dims();
-  FieldF out(d);
-  for (index_t z = 0; z < d.nz; ++z)
-    for (index_t y = 0; y < d.ny; ++y)
-      for (index_t x = 0; x < d.nx; ++x)
-        out.at(x, y, z) = static_cast<float>(static_cast<double>(data.at(x, y, z)) -
-                                             static_cast<double>(base.at(x, y, z)));
-  return out;
+/// out = data - base per sample (double accumulate, one float rounding),
+/// across the pool; `out` may be `base` itself (the pass is per-sample).
+/// Returns max |out|, fused into the same pass.
+float residual_into(const FieldF& data, const FieldF& base, FieldF& out,
+                    exec::ThreadPool& pool) {
+  MRC_REQUIRE(data.dims() == base.dims() && data.dims() == out.dims(),
+              "progressive: residual extents mismatch");
+  std::vector<float> maxes(static_cast<std::size_t>(pool.slab_count(data.size())), 0.0f);
+  pool.parallel_slabs(data.size(), [&](index_t s, index_t lo, index_t hi) {
+    float m = 0.0f;
+    for (index_t i = lo; i < hi; ++i) {
+      out[i] = static_cast<float>(static_cast<double>(data[i]) -
+                                  static_cast<double>(base[i]));
+      m = std::max(m, std::abs(out[i]));
+    }
+    maxes[static_cast<std::size_t>(s)] = m;
+  });
+  return maxes.empty() ? 0.0f : *std::max_element(maxes.begin(), maxes.end());
 }
 
-float max_abs(const FieldF& f) {
-  const auto [lo, hi] = f.min_max();
-  return std::max(std::abs(lo), std::abs(hi));
+/// llround(v / 2eb) into `key`, or false when llround's result would be
+/// unspecified: NaN, +-Inf and |v / 2eb| >= 2^63.
+bool bin_key(float v, double eb, long long& key) {
+  const double q = static_cast<double>(v) / (2.0 * eb);
+  if (!(std::abs(q) < 0x1p63)) return false;  // NaN fails every comparison
+  // llround without the libm call: t = trunc(q) is exact in range, and so
+  // is q - t (|q| >= 2^52 is already an integer); a fraction of +-0.5 or
+  // more rounds away from zero.
+  const auto t = static_cast<long long>(q);
+  const double frac = q - static_cast<double>(t);
+  key = t + (frac >= 0.5 ? 1 : 0) - (frac <= -0.5 ? 1 : 0);
+  return true;
 }
 
-/// Shannon entropy (bits/sample) of the field quantized into 2*eb-wide bins
-/// — the same bin width the quantizer uses, so this estimates the entropy
-/// the Huffman stage actually sees. Recorded per level for `mrcc
-/// progressive`'s table.
-float bin_entropy(const FieldF& f, double eb) {
-  std::unordered_map<long long, std::uint64_t> bins;
-  const Dim3 d = f.dims();
-  for (index_t z = 0; z < d.nz; ++z)
-    for (index_t y = 0; y < d.ny; ++y)
-      for (index_t x = 0; x < d.nx; ++x)
-        ++bins[std::llround(static_cast<double>(f.at(x, y, z)) / (2.0 * eb))];
-  const double n = static_cast<double>(d.size());
+/// Folds one bin of `count` out of `n` samples into the Shannon sum `h`.
+void add_bin(double& h, std::uint64_t count, double n) {
+  if (count == 0) return;
+  const double p = static_cast<double>(count) / n;
+  h -= p * std::log2(p);
+}
+
+}  // namespace
+
+namespace detail {
+
+float bin_entropy(const FieldF& f, double eb, exec::ThreadPool& pool) {
+  MRC_REQUIRE(eb > 0.0, "progressive: entropy bin width must be positive");
+  const index_t n = f.size();
+  if (n == 0) return 0.0f;
+
+  // Pass 1: the key range of the samples that have a key, and how many have
+  // none. Those share one explicit bin, summed first (as the lowest key).
+  struct Range {
+    long long lo = std::numeric_limits<long long>::max();
+    long long hi = std::numeric_limits<long long>::min();
+    std::uint64_t keyless = 0;
+  };
+  std::vector<Range> ranges(static_cast<std::size_t>(pool.slab_count(n)));
+  pool.parallel_slabs(n, [&](index_t s, index_t lo, index_t hi) {
+    Range r;
+    for (index_t i = lo; i < hi; ++i) {
+      long long k = 0;
+      if (!bin_key(f[i], eb, k)) {
+        ++r.keyless;
+        continue;
+      }
+      r.lo = std::min(r.lo, k);
+      r.hi = std::max(r.hi, k);
+    }
+    ranges[static_cast<std::size_t>(s)] = r;
+  });
+  Range all;
+  for (const Range& r : ranges) {
+    all.lo = std::min(all.lo, r.lo);
+    all.hi = std::max(all.hi, r.hi);
+    all.keyless += r.keyless;
+  }
+
+  const double total = static_cast<double>(n);
   double h = 0.0;
-  for (const auto& [bin, count] : bins) {
-    const double p = static_cast<double>(count) / n;
-    h -= p * std::log2(p);
+  add_bin(h, all.keyless, total);
+  if (all.keyless == static_cast<std::uint64_t>(n)) return static_cast<float>(h);
+
+  // The span in unsigned arithmetic: kmax - kmin can exceed LLONG_MAX.
+  const std::uint64_t span =
+      static_cast<std::uint64_t>(all.hi) - static_cast<std::uint64_t>(all.lo);
+  if (span < kDenseEntropyBins) {
+    // Pass 2: dense counts, one histogram per part, summed per bin in
+    // ascending key order. The part count keeps every histogram together
+    // under kDenseEntropyBins * 4 counters.
+    const auto bins = static_cast<std::size_t>(span) + 1;
+    const index_t parts = std::clamp<index_t>(
+        static_cast<index_t>(4 * kDenseEntropyBins / bins), 1, pool.size());
+    std::vector<std::vector<std::uint64_t>> counts(static_cast<std::size_t>(parts));
+    pool.parallel_for(parts, [&](index_t p) {
+      std::vector<std::uint64_t>& c = counts[static_cast<std::size_t>(p)];
+      c.assign(bins, 0);
+      for (index_t i = p * n / parts; i < (p + 1) * n / parts; ++i) {
+        long long k = 0;
+        if (bin_key(f[i], eb, k))
+          ++c[static_cast<std::size_t>(static_cast<std::uint64_t>(k) -
+                                       static_cast<std::uint64_t>(all.lo))];
+      }
+    });
+    for (std::size_t b = 0; b < bins; ++b) {
+      std::uint64_t c = 0;
+      for (const auto& part : counts) c += part[b];
+      add_bin(h, c, total);
+    }
+    return static_cast<float>(h);
+  }
+
+  // A key range too wide to count densely: sort the keys and count runs.
+  std::vector<long long> keys;
+  keys.reserve(static_cast<std::size_t>(n) - static_cast<std::size_t>(all.keyless));
+  for (index_t i = 0; i < n; ++i) {
+    long long k = 0;
+    if (bin_key(f[i], eb, k)) keys.push_back(k);
+  }
+  std::sort(keys.begin(), keys.end());
+  for (std::size_t i = 0; i < keys.size();) {
+    std::size_t j = i;
+    while (j < keys.size() && keys[j] == keys[i]) ++j;
+    add_bin(h, j - i, total);
+    i = j;
   }
   return static_cast<float>(h);
 }
 
-}  // namespace
+}  // namespace detail
 
 std::vector<tiled::Box> support_chain(const Index& idx, int level,
                                       const tiled::Box& region) {
@@ -97,7 +191,7 @@ FieldF refine(const FieldF& coarse_window, const tiled::Box& coarse_box,
   FieldF prolonged = prolong_trilinear_region(coarse_window, coarse_box.lo, coarse_dims,
                                               fine_dims, fine_box.lo,
                                               fine_box.extent());
-  add_into(prolonged, residual);
+  add_range(prolonged, residual, 0, prolonged.size());
   return prolonged;
 }
 
@@ -127,19 +221,23 @@ Bytes build(const FieldF& f, double abs_eb, const Config& cfg) {
   tiled::Config tc_resid = tc;
   tc_resid.codec = cfg.resid_codec;
 
-  // The restrict_half chain, materialized coarse-to-fine is not needed —
-  // levels() holds l >= 1, level 0 reads straight from f.
+  exec::ThreadPool pool(cfg.threads);
+
+  // The restrict_half chain: chain[l] holds level l >= 1, level 0 reads
+  // straight from f.
   std::vector<FieldF> chain(static_cast<std::size_t>(n_levels));
-  for (int l = 1; l < n_levels; ++l)
-    chain[static_cast<std::size_t>(l)] =
-        restrict_half(l == 1 ? f : chain[static_cast<std::size_t>(l - 1)]);
+  {
+    OBS_SPAN("progressive.restrict");
+    for (int l = 1; l < n_levels; ++l)
+      chain[static_cast<std::size_t>(l)] =
+          restrict_half(l == 1 ? f : chain[static_cast<std::size_t>(l - 1)], pool);
+  }
   auto level_data = [&](int l) -> const FieldF& {
     return l == 0 ? f : chain[static_cast<std::size_t>(l)];
   };
 
   std::vector<Bytes> streams(static_cast<std::size_t>(n_levels));
   std::vector<LevelEntry> entries(static_cast<std::size_t>(n_levels));
-  exec::ThreadPool pool(cfg.threads);
 
   // Top-down with the decoder in the loop: each residual is measured against
   // the *reconstruction* the reader will actually have, so per-level decode
@@ -149,9 +247,12 @@ Bytes build(const FieldF& f, double abs_eb, const Config& cfg) {
     const FieldF& data = level_data(l);
     LevelEntry& e = entries[static_cast<std::size_t>(l)];
     e.dims = data.dims();
-    const auto [lo, hi] = data.min_max();
-    e.vmin = lo;
-    e.vmax = hi;
+    {
+      OBS_SPAN("progressive.level_stats");
+      const auto [lo, hi] = min_max(data, pool);
+      e.vmin = lo;
+      e.vmax = hi;
+    }
     e.cum_err = static_cast<float>(abs_eb * (n_levels - l));
     e.approx_err = static_cast<float>(
         l == 0 ? static_cast<double>(e.cum_err)
@@ -160,21 +261,39 @@ Bytes build(const FieldF& f, double abs_eb, const Config& cfg) {
     OBS_SPAN("progressive.level_compress");
     if (l == n_levels - 1) {
       // Coarsest level: stored verbatim; "residual" stats describe the data.
-      e.resid_max = max_abs(data);
-      e.resid_entropy = bin_entropy(data, abs_eb);
+      {
+        OBS_SPAN("progressive.level_stats");
+        e.resid_max = std::max(std::abs(e.vmin), std::abs(e.vmax));
+        e.resid_entropy = detail::bin_entropy(data, abs_eb, pool);
+      }
       streams[static_cast<std::size_t>(l)] = tiled::compress(data, abs_eb, tc);
       recon = tiled::decompress(streams[static_cast<std::size_t>(l)], cfg.threads);
-    } else {
-      FieldF prolonged = prolong_trilinear(recon, data.dims());
-      const FieldF resid = subtract(data, prolonged);
-      e.resid_max = max_abs(resid);
-      e.resid_entropy = bin_entropy(resid, abs_eb);
-      streams[static_cast<std::size_t>(l)] = tiled::compress(resid, abs_eb, tc_resid);
-      if (l > 0) {
-        add_into(prolonged,
-                 tiled::decompress(streams[static_cast<std::size_t>(l)], cfg.threads));
-        recon = std::move(prolonged);
-      }
+      continue;
+    }
+    FieldF prolonged;
+    {
+      OBS_SPAN("progressive.prolong");
+      prolonged = prolong_trilinear(recon, data.dims(), pool);
+    }
+    // The finest level needs no reconstruction, so its residual overwrites
+    // the prolonged field instead of taking a second full-size buffer.
+    FieldF resid_buf = l == 0 ? FieldF{} : FieldF(data.dims());
+    FieldF& resid = l == 0 ? prolonged : resid_buf;
+    {
+      OBS_SPAN("progressive.residual");
+      e.resid_max = residual_into(data, prolonged, resid, pool);
+    }
+    {
+      OBS_SPAN("progressive.level_stats");
+      e.resid_entropy = detail::bin_entropy(resid, abs_eb, pool);
+    }
+    streams[static_cast<std::size_t>(l)] = tiled::compress(resid, abs_eb, tc_resid);
+    if (l > 0) {
+      const FieldF decoded =
+          tiled::decompress(streams[static_cast<std::size_t>(l)], cfg.threads);
+      OBS_SPAN("progressive.recon");
+      add_into(prolonged, decoded, pool);
+      recon = std::move(prolonged);
     }
   }
 
@@ -188,7 +307,7 @@ Bytes build(const FieldF& f, double abs_eb, const Config& cfg) {
 
   Bytes out;
   ByteWriter w(out);
-  detail::write_header(w, kProgressiveMagic, d, abs_eb);
+  mrc::detail::write_header(w, kProgressiveMagic, d, abs_eb);
   w.put_varint(static_cast<std::uint64_t>(n_levels));
   w.put_varint(payload_bytes);
   for (const LevelEntry& e : entries) {
@@ -210,7 +329,7 @@ Bytes build(const FieldF& f, double abs_eb, const Config& cfg) {
 
 Index read_geometry(std::span<const std::byte> stream) {
   ByteReader r(stream);
-  const auto header = detail::read_header(r, kProgressiveMagic, "progressive");
+  const auto header = mrc::detail::read_header(r, kProgressiveMagic, "progressive");
 
   Index idx;
   idx.dims = header.dims;
@@ -322,15 +441,17 @@ FieldF decompress_level(std::span<const std::byte> stream, int level, int thread
               "progressive: level out of range");
   const int top = static_cast<int>(idx.levels.size()) - 1;
   OBS_SPAN("progressive.level_decode");
+  exec::ThreadPool pool(threads);
   FieldF recon =
       tiled::decompress(idx.level_stream(stream, static_cast<std::size_t>(top)),
                         threads);
   for (int l = top - 1; l >= level; --l) {
+    const FieldF resid =
+        tiled::decompress(idx.level_stream(stream, static_cast<std::size_t>(l)), threads);
+    OBS_SPAN("progressive.recon");
     FieldF prolonged =
-        prolong_trilinear(recon, idx.levels[static_cast<std::size_t>(l)].dims);
-    add_into(prolonged,
-             tiled::decompress(idx.level_stream(stream, static_cast<std::size_t>(l)),
-                               threads));
+        prolong_trilinear(recon, idx.levels[static_cast<std::size_t>(l)].dims, pool);
+    add_into(prolonged, resid, pool);
     recon = std::move(prolonged);
   }
   return recon;

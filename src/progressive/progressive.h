@@ -74,7 +74,10 @@ struct Config {
   std::string resid_codec = "lorenzo";
   CodecTuning tuning;            ///< per-brick codec tuning
   index_t brick = tiled::kDefaultBrick;  ///< brick edge of every level
-  int threads = 1;               ///< exec-pool lanes per level; 0 = hardware
+  /// Exec-pool lanes; 0 = hardware. The lanes run every level's brick
+  /// codecs and also the whole-field restrict, prolong, residual and entropy
+  /// passes; the stream is byte-identical for any lane count.
+  int threads = 1;
   /// Level count; 0 = auto: halve until the coarsest level fits one brick.
   int levels = 0;
 };
@@ -113,7 +116,8 @@ struct Index {
 /// Builds the residual pyramid: restrict_half chain from `f`, the coarsest
 /// level compressed verbatim, every finer level as a residual against the
 /// decoded reconstruction of the level below, all through tiled::compress
-/// on the exec pool. Deterministic: byte-identical for any thread count.
+/// on the exec pool; the whole-field passes between the codec calls run on
+/// the same pool. Deterministic: byte-identical for any thread count.
 [[nodiscard]] Bytes build(const FieldF& f, double abs_eb, const Config& cfg = {});
 
 /// Parses and validates header + level table in O(levels) without touching
@@ -127,8 +131,9 @@ struct Index {
 [[nodiscard]] Index read_index(std::span<const std::byte> stream);
 
 /// Reconstructs level `level` in full: decode the coarsest stream, then
-/// prolong + residual down to `level`. Bit-deterministic for any thread
-/// count (threads = 0 means hardware).
+/// prolong + residual down to `level`, every pass on a pool of `threads`
+/// lanes. Bit-deterministic for any thread count (threads = 0 means
+/// hardware).
 [[nodiscard]] FieldF decompress_level(std::span<const std::byte> stream, int level,
                                       int threads = 1);
 
@@ -153,5 +158,22 @@ struct Index {
 [[nodiscard]] FieldF refine(const FieldF& coarse_window, const tiled::Box& coarse_box,
                             Dim3 coarse_dims, const FieldF& residual,
                             const tiled::Box& fine_box, Dim3 fine_dims);
+
+namespace detail {
+
+/// Widest key range bin_entropy counts in dense histograms; wider ranges
+/// (hostile or extreme-valued input) fall back to sorting the keys.
+inline constexpr std::uint64_t kDenseEntropyBins = std::uint64_t{1} << 20;
+
+/// Shannon entropy (bits/sample) of `f` quantized into 2*eb-wide bins
+/// (bin = llround(v / 2eb)) — the same bin width the quantizer uses, so this
+/// estimates the entropy the Huffman stage actually sees; the level table's
+/// resid_entropy. Samples without a representable bin (NaN, +-Inf,
+/// |v / 2eb| >= 2^63) share one extra bin. Bins are summed in ascending key
+/// order with that extra bin first, so the result is the same for any lane
+/// count of `pool`.
+[[nodiscard]] float bin_entropy(const FieldF& f, double eb, exec::ThreadPool& pool);
+
+}  // namespace detail
 
 }  // namespace mrc::progressive

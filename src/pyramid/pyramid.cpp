@@ -18,11 +18,9 @@ inline constexpr std::size_t kMinLevelRecord = 17;
 
 double prolong_error(const FieldF& coarse, const FieldF& fine, exec::ThreadPool& pool) {
   const index_t nz = fine.dims().nz;
-  const index_t slabs = std::min<index_t>(nz, 4 * pool.size());
-  std::vector<double> errs(static_cast<std::size_t>(slabs), 0.0);
-  pool.parallel_for(slabs, [&](index_t s) {
-    errs[static_cast<std::size_t>(s)] = prolong_error_slab(
-        coarse, fine, s * nz / slabs, (s + 1) * nz / slabs);
+  std::vector<double> errs(static_cast<std::size_t>(pool.slab_count(nz)), 0.0);
+  pool.parallel_slabs(nz, [&](index_t s, index_t z0, index_t z1) {
+    errs[static_cast<std::size_t>(s)] = prolong_error_slab(coarse, fine, z0, z1);
   });
   return *std::max_element(errs.begin(), errs.end());
 }
@@ -69,19 +67,19 @@ Bytes build(const FieldF& f, double abs_eb, const Config& cfg) {
 
   // restrict_half chain; every level's bricks compress in parallel on the
   // exec pool inside tiled::compress (level 0 holds 8/7 of the total work,
-  // so within-level parallelism is the right axis), and the per-level error
-  // measurement slabs across a pool of the same width.
+  // so within-level parallelism is the right axis), and the restriction and
+  // per-level error measurement slab across a pool of the same width.
   std::vector<Bytes> streams(static_cast<std::size_t>(n_levels));
   std::vector<LevelEntry> entries(static_cast<std::size_t>(n_levels));
   exec::ThreadPool pool(cfg.threads);
   FieldF coarse;  // level l's data for l >= 1
   for (int l = 0; l < n_levels; ++l) {
-    if (l > 0) coarse = restrict_half(l == 1 ? f : coarse);
+    if (l > 0) coarse = restrict_half(l == 1 ? f : coarse, pool);
     const FieldF& level = l == 0 ? f : coarse;
 
     LevelEntry& e = entries[static_cast<std::size_t>(l)];
     e.dims = level.dims();
-    const auto [lo, hi] = level.min_max();
+    const auto [lo, hi] = min_max(level, pool);
     e.vmin = lo;
     e.vmax = hi;
     // The level's fitness for LOD selection: how far a rendering served from

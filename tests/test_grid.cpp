@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstring>
+#include <limits>
 
+#include "exec/thread_pool.h"
 #include "grid/field_ops.h"
 #include "grid/multires.h"
 #include "test_util.h"
@@ -97,6 +100,127 @@ TEST(FieldOps, BlockValueRanges) {
   ASSERT_EQ(ranges.size(), 2u);
   EXPECT_DOUBLE_EQ(ranges[0], 10.0);
   EXPECT_DOUBLE_EQ(ranges[1], 0.0);
+}
+
+// ---------------------------------------------------------------------------
+// The shared trilinear kernel and the pooled whole-field passes. Extents are
+// deliberately awkward: odd halvings (65 -> 33), 1-wide axes, and more pool
+// lanes than z-planes. Equality is bitwise, not approximate.
+// ---------------------------------------------------------------------------
+
+bool same_bits(const FieldF& a, const FieldF& b) {
+  return a.dims() == b.dims() &&
+         std::memcmp(a.data(), b.data(), static_cast<std::size_t>(a.size()) * 4) == 0;
+}
+
+/// Fine grids paired with the coarse grid each is prolonged from.
+std::vector<std::pair<Dim3, Dim3>> awkward_prolongations() {
+  return {{{65, 9, 33}, {33, 5, 17}},
+          {{65, 1, 7}, {33, 1, 4}},
+          {{1, 37, 29}, {1, 19, 15}},
+          {{13, 11, 3}, {5, 3, 2}},  // not a halving at all
+          {{8, 8, 8}, {8, 8, 8}}};   // ratio 1
+}
+
+TEST(FieldOps, ProlongRegionEqualsWindowOfFullProlongation) {
+  for (const auto& [fd, cd] : awkward_prolongations()) {
+    const FieldF coarse = test::noise_field(cd, 5.0, 7);
+    const FieldF full = prolong_trilinear(coarse, fd);
+    const Dim3 steps{std::max<index_t>(1, fd.nx / 4), std::max<index_t>(1, fd.ny / 3),
+                     std::max<index_t>(1, fd.nz / 3)};
+    for (index_t z0 = 0; z0 < fd.nz; z0 += steps.nz)
+      for (index_t y0 = 0; y0 < fd.ny; y0 += steps.ny)
+        for (index_t x0 = 0; x0 < fd.nx; x0 += steps.nx) {
+          const Coord3 o{x0, y0, z0};
+          const Dim3 e{std::min<index_t>(fd.nx - x0, 2 * steps.nx + 1),
+                       std::min<index_t>(fd.ny - y0, steps.ny + 2),
+                       std::min<index_t>(fd.nz - z0, steps.nz)};
+          const SupportBox s = prolong_support(cd, fd, o, e);
+          const FieldF window = extract_region(coarse, s.origin, s.extent);
+          const FieldF region = prolong_trilinear_region(window, s.origin, cd, fd, o, e);
+          ASSERT_TRUE(same_bits(region, extract_region(full, o, e)))
+              << fd.str() << " window at " << x0 << "," << y0 << "," << z0;
+        }
+  }
+}
+
+TEST(FieldOps, ProlongErrorSlabsMaxToTheFullDifference) {
+  for (const auto& [fd, cd] : awkward_prolongations()) {
+    const FieldF fine = test::noise_field(fd, 3.0, 11);
+    const FieldF coarse = test::noise_field(cd, 3.0, 12);
+    const FieldF up = prolong_trilinear(coarse, fd);
+    double want = 0.0;
+    for (index_t i = 0; i < fine.size(); ++i)
+      want = std::max(want, std::abs(static_cast<double>(up[i]) -
+                                     static_cast<double>(fine[i])));
+    EXPECT_EQ(prolong_error_slab(coarse, fine, 0, fd.nz), want) << fd.str();
+    // Every z-plane on its own, then an uneven three-way split.
+    double per_plane = 0.0;
+    for (index_t z = 0; z < fd.nz; ++z)
+      per_plane = std::max(per_plane, prolong_error_slab(coarse, fine, z, z + 1));
+    EXPECT_EQ(per_plane, want) << fd.str();
+    const index_t a = fd.nz / 3, b = std::max(a, fd.nz - 1);
+    EXPECT_EQ(std::max({prolong_error_slab(coarse, fine, 0, a),
+                        prolong_error_slab(coarse, fine, a, b),
+                        prolong_error_slab(coarse, fine, b, fd.nz)}),
+              want)
+        << fd.str();
+    EXPECT_EQ(prolong_error_slab(coarse, fine, a, a), 0.0);
+  }
+}
+
+TEST(FieldOps, PooledPassesMatchSerialForAnyLaneCount) {
+  for (const auto& [fd, cd] : awkward_prolongations()) {
+    const FieldF fine = test::noise_field(fd, 4.0, 21);
+    const FieldF coarse = test::noise_field(cd, 4.0, 22);
+    const FieldF restricted = restrict_half(fine);
+    const FieldF prolonged = prolong_trilinear(coarse, fd);
+    for (int lanes : {1, 3, 7}) {
+      exec::ThreadPool pool(lanes);
+      EXPECT_TRUE(same_bits(restrict_half(fine, pool), restricted))
+          << fd.str() << " lanes " << lanes;
+      EXPECT_TRUE(same_bits(prolong_trilinear(coarse, fd, pool), prolonged))
+          << fd.str() << " lanes " << lanes;
+      const auto [lo, hi] = min_max(fine, pool);
+      const auto [want_lo, want_hi] = fine.min_max();
+      EXPECT_EQ(lo, want_lo);
+      EXPECT_EQ(hi, want_hi);
+    }
+  }
+}
+
+TEST(FieldOps, PooledMinMaxResolvesSignedZeroTiesLikeMinmaxElement) {
+  // std::minmax_element returns the first smallest and the last largest; a
+  // slab split must not flip the sign of a zero extreme. `a` ends in -0 (its
+  // max is -0, its min the leading +0), `b` starts with -0 (min -0, max +0).
+  FieldF a({5, 3, 4}, 0.0f);
+  a[a.size() - 1] = -0.0f;
+  FieldF b({5, 3, 4}, 0.0f);
+  b[0] = -0.0f;
+  for (int lanes : {1, 3, 7}) {
+    exec::ThreadPool pool(lanes);
+    const auto [a_lo, a_hi] = min_max(a, pool);
+    EXPECT_FALSE(std::signbit(a_lo)) << lanes;
+    EXPECT_TRUE(std::signbit(a_hi)) << lanes;
+    const auto [b_lo, b_hi] = min_max(b, pool);
+    EXPECT_TRUE(std::signbit(b_lo)) << lanes;
+    EXPECT_FALSE(std::signbit(b_hi)) << lanes;
+  }
+  EXPECT_TRUE(std::signbit(a.min_max().second));
+  EXPECT_TRUE(std::signbit(b.min_max().first));
+  // NaN samples are skipped wherever they sit, so the extremes cannot depend
+  // on where the slabs start.
+  FieldF g({7, 1, 9}, 1.0f);
+  g[0] = std::numeric_limits<float>::quiet_NaN();
+  g[20] = -3.0f;
+  g[40] = std::numeric_limits<float>::quiet_NaN();
+  g[50] = 8.0f;
+  for (int lanes : {1, 3, 7}) {
+    exec::ThreadPool pool(lanes);
+    const auto [lo, hi] = min_max(g, pool);
+    EXPECT_EQ(lo, -3.0f) << lanes;
+    EXPECT_EQ(hi, 8.0f) << lanes;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -12,10 +12,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
+#include <limits>
+#include <map>
 #include <string_view>
 
 #include "api/mrc_api.h"
+#include "exec/thread_pool.h"
 #include "grid/field_ops.h"
 #include "obs/flight.h"
 #include "obs/obs.h"
@@ -189,16 +193,117 @@ TEST(Progressive, EveryLevelRegionReadMatchesFullLevelDecode) {
 }
 
 TEST(Progressive, StreamBytesIdenticalForAnyThreadCount) {
-  const FieldF f = test::noise_field({33, 21, 18}, 10.0);
-  const Bytes s1 = make_progressive(f, "interp", "lorenzo", 16, 1);
-  const Bytes s3 = make_progressive(f, "interp", "lorenzo", 16, 3);
-  const Bytes s7 = make_progressive(f, "interp", "lorenzo", 16, 7);
-  EXPECT_EQ(s1, s3);
-  EXPECT_EQ(s1, s7);
-  // And the decode side too: any thread count reconstructs the same bits.
-  const FieldF d1 = progressive::decompress_level(s1, 0, 1);
-  const FieldF d7 = progressive::decompress_level(s1, 0, 7);
-  EXPECT_EQ(d1, d7);
+  // The whole-field passes (restrict, prolong, residual, entropy) split z
+  // into slabs across the lanes; prime and degenerate extents, and more
+  // lanes than z-planes, pin that the split never changes a value.
+  for (const Dim3 d : {Dim3{33, 21, 18}, Dim3{67, 1, 45}, Dim3{1, 37, 29},
+                       Dim3{45, 38, 3}}) {
+    const FieldF f = test::noise_field(d, 10.0);
+    const Bytes s1 = make_progressive(f, "interp", "lorenzo", 16, 1);
+    const Bytes s3 = make_progressive(f, "interp", "lorenzo", 16, 3);
+    const Bytes s7 = make_progressive(f, "interp", "lorenzo", 16, 7);
+    EXPECT_EQ(s1, s3) << d.str();
+    EXPECT_EQ(s1, s7) << d.str();
+    // And the decode side too: any thread count reconstructs the same bits.
+    const auto idx = progressive::read_index(s1);
+    for (int l = 0; l < static_cast<int>(idx.levels.size()); ++l) {
+      const FieldF d1 = progressive::decompress_level(s1, l, 1);
+      for (int threads : {3, 7}) {
+        const FieldF dt = progressive::decompress_level(s1, l, threads);
+        ASSERT_EQ(dt.dims(), d1.dims());
+        EXPECT_EQ(std::memcmp(dt.data(), d1.data(),
+                              static_cast<std::size_t>(d1.size()) * sizeof(float)),
+                  0)
+            << d.str() << " level " << l << " threads " << threads;
+      }
+    }
+  }
+}
+
+TEST(Progressive, StreamBytesMatchPinnedHashes) {
+  // Size + FNV-1a of whole MRCR streams (level table included, resid_entropy
+  // and all), captured from the serial single-lane build that predates the
+  // pooled passes. Like the frozen container goldens, a deliberate container
+  // version bump re-pins these with the sizes unchanged.
+  auto fnv1a = [](const Bytes& b) {
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (auto c : b) {
+      h ^= static_cast<std::uint8_t>(c);
+      h *= 0x100000001b3ull;
+    }
+    return h;
+  };
+  const Bytes noise =
+      make_progressive(test::noise_field({33, 21, 18}, 10.0), "interp", "lorenzo", 16, 3);
+  EXPECT_EQ(noise.size(), 22992u);
+  EXPECT_EQ(fnv1a(noise), 0xc18c53226ffcf149ull);
+  const Bytes smooth = make_progressive(test::smooth_field({40, 24, 20}), "lorenzo",
+                                        "lorenzo", 8, 3, 0.01);
+  EXPECT_EQ(smooth.size(), 13163u);
+  EXPECT_EQ(fnv1a(smooth), 0xe09d283cc4d7dbb4ull);
+}
+
+/// bin_entropy's reference: every sample in a std::map keyed by llround(v /
+/// 2eb), with the samples llround cannot key (NaN, +-Inf, |v / 2eb| >= 2^63)
+/// under LLONG_MIN, summed in ascending key order.
+float reference_entropy(const FieldF& f, double eb) {
+  std::map<long long, std::uint64_t> bins;
+  for (index_t i = 0; i < f.size(); ++i) {
+    const double q = static_cast<double>(f[i]) / (2.0 * eb);
+    const bool keyed = std::isfinite(q) && std::abs(q) < 0x1p63;
+    ++bins[keyed ? std::llround(q) : std::numeric_limits<long long>::min()];
+  }
+  const double n = static_cast<double>(f.size());
+  double h = 0.0;
+  for (const auto& [key, count] : bins) {
+    const double p = static_cast<double>(count) / n;
+    h -= p * std::log2(p);
+  }
+  return static_cast<float>(h);
+}
+
+FieldF field_of(std::vector<float> values) {
+  const auto n = static_cast<index_t>(values.size());
+  return FieldF({n, 1, 1}, std::move(values));
+}
+
+TEST(Progressive, BinEntropyMatchesAnOrderedReferenceOnHostileValues) {
+  constexpr float inf = std::numeric_limits<float>::infinity();
+  constexpr float nan = std::numeric_limits<float>::quiet_NaN();
+  const float denorm = std::numeric_limits<float>::denorm_min();
+  struct Case {
+    const char* name;
+    FieldF f;
+    double eb;
+  };
+  std::vector<Case> cases;
+  cases.push_back({"constant", FieldF({9, 7, 5}, 3.25f), 0.05});
+  cases.push_back({"signed zeros", field_of({0.0f, -0.0f, 0.0f, -0.0f, 0.0f}), 0.01});
+  cases.push_back({"denormals",
+                   field_of({denorm, 2 * denorm, -denorm, 1e-40f, -1e-39f, 0.0f}),
+                   1e-45});
+  cases.push_back({"non-finite", field_of({nan, 1.0f, inf, -inf, 2.0f, nan, 1.0f}), 0.1});
+  cases.push_back({"all non-finite", field_of({nan, inf, -inf}), 0.1});
+  // The 1e38 spike's bin index overflows llround; everything else is small.
+  cases.push_back({"1e38 spike", field_of({0.1f, 0.2f, 1e38f, -0.3f, 0.1f, -1e38f}), 0.05});
+  // Exact half-bin values: llround rounds away from zero.
+  cases.push_back({"ties", field_of({0.5f, 1.5f, 2.5f, -0.5f, -1.5f, -2.5f, 0.49999997f,
+                                     -0.49999997f, 1.0f}),
+                   0.5});
+  // A key range wider than the dense cap takes the sort-based count, and one
+  // wider than LLONG_MAX must not overflow computing its span.
+  cases.push_back({"wide", field_of({-1e7f, 0.0f, 1e7f, 5.0f, 5.0f, -1e7f}), 0.5});
+  cases.push_back({"widest", field_of({-4e18f, 4e18f, 0.0f, 4e18f}), 0.5});
+  cases.push_back({"noise", test::noise_field({67, 1, 45}, 10.0), 0.05});
+  for (const Case& c : cases) {
+    const float want = reference_entropy(c.f, c.eb);
+    for (int lanes : {1, 3, 7}) {
+      exec::ThreadPool pool(lanes);
+      EXPECT_EQ(progressive::detail::bin_entropy(c.f, c.eb, pool), want)
+          << c.name << " lanes " << lanes;
+    }
+  }
+  EXPECT_EQ(reference_entropy(cases[0].f, 0.05), 0.0f);
 }
 
 TEST(Progressive, RejectsBadConfigAndInputs) {

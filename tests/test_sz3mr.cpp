@@ -30,10 +30,21 @@ double masked_max_err(const LevelData& a, const LevelData& b) {
   return m;
 }
 
+// GoogleTest prints a parameter type without operator<< as its raw bytes, and
+// ctest names each case after them. The cases therefore live in static,
+// zero-filled storage (so no stack garbage lands in their padding) and carry
+// their name as an index rather than a pointer.
+constexpr std::array<const char*, 6> kPresetNames{"baseline", "amric",  "tac",
+                                                  "pad",      "pad_eb", "processed"};
+
 struct PresetCase {
   sz3mr::Config cfg;
-  const char* name;
+  std::uint64_t name_id;
 };
+
+const PresetCase kPresets[] = {
+    {sz3mr::baseline_sz3(), 0}, {sz3mr::amric_sz3(), 1},   {sz3mr::tac_sz3(), 2},
+    {sz3mr::ours_pad(), 3},     {sz3mr::ours_pad_eb(), 4}, {sz3mr::ours_processed(), 5}};
 
 class Sz3mrPresets : public ::testing::TestWithParam<PresetCase> {};
 
@@ -48,20 +59,13 @@ TEST_P(Sz3mrPresets, LevelRoundTripRespectsBound) {
   // Mask restored exactly.
   for (index_t i = 0; i < lev.mask.size(); ++i) EXPECT_EQ(out.mask[i], lev.mask[i]);
   EXPECT_LE(masked_max_err(lev, out), eb * 1.5 + 1e-9)
-      << p.name;  // 1.5: post-process may add a*eb (a <= 0.5)
+      << kPresetNames[p.name_id];  // 1.5: post-process may add a*eb (a <= 0.5)
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Presets, Sz3mrPresets,
-    ::testing::Values(PresetCase{sz3mr::baseline_sz3(), "baseline"},
-                      PresetCase{sz3mr::amric_sz3(), "amric"},
-                      PresetCase{sz3mr::tac_sz3(), "tac"},
-                      PresetCase{sz3mr::ours_pad(), "pad"},
-                      PresetCase{sz3mr::ours_pad_eb(), "pad+eb"},
-                      PresetCase{sz3mr::ours_processed(), "processed"}),
-    [](const auto& info) { return std::string(info.param.name == std::string("pad+eb")
-                                                  ? "pad_eb"
-                                                  : info.param.name); });
+INSTANTIATE_TEST_SUITE_P(Presets, Sz3mrPresets, ::testing::ValuesIn(kPresets),
+                         [](const auto& info) {
+                           return std::string(kPresetNames[info.param.name_id]);
+                         });
 
 TEST(Sz3mr, StrictBoundWithoutPostprocess) {
   // All non-postprocessed presets must respect the bound exactly.

@@ -67,15 +67,16 @@ fi
 
 if [ "${MRC_SKIP_TSAN:-0}" != "1" ]; then
   echo
-  echo "== ThreadSanitizer pass (exec / tiled / pyramid / serve / server / wire) =="
+  echo "== ThreadSanitizer pass (exec / grid / tiled / pyramid / serve / server / wire) =="
   TSAN_DIR="${BUILD_DIR}-tsan"
   cmake -B "$TSAN_DIR" -S . -DMRC_SANITIZE=thread -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       > /dev/null
   cmake --build "$TSAN_DIR" -j"$(nproc)" --target mrc_tests > /dev/null
   # Only the concurrency-bearing suites: the serial codec/metric suites add
-  # nothing under TSan but multiply its ~10x slowdown.
+  # nothing under TSan but multiply its ~10x slowdown. FieldOps runs the
+  # pooled restrict/prolong/min-max grid passes.
   "$TSAN_DIR"/mrc_tests \
-      --gtest_filter='ThreadPool.*:Tiled*:Pyramid*:Progressive*:Serve*:Server*:Wire*:Adaptive*:Obs*:Sharded*'
+      --gtest_filter='ThreadPool.*:FieldOps*:Tiled*:Pyramid*:Progressive*:Serve*:Server*:Wire*:Adaptive*:Obs*:Sharded*'
 fi
 
 if [ "${MRC_SKIP_OBS:-0}" != "1" ]; then
